@@ -5,9 +5,8 @@
 //
 //	acrsim -bench is [-config ReCkpt_E] [-strategy auto] [-threads 8]
 //	       [-class W] [-ckpts 25] [-errors 1] [-threshold 0] [-workers 1]
-//	       [-compile off] [-v] [-trace out.json] [-metrics out.prom]
-//	       [-profile out.json] [-serve ADDR] [-journal runs.jsonl]
-//	       [-linger DUR]
+//	       [-v] [-trace out.json] [-metrics out.prom] [-profile out.json]
+//	       [-serve ADDR] [-journal runs.jsonl] [-linger DUR]
 //	acrsim -list-strategies
 //
 // The configuration names follow the paper (§IV): NoCkpt, Ckpt_NE, Ckpt_E,
@@ -22,13 +21,6 @@
 // bit-identical to serial execution); 0 means GOMAXPROCS. The telemetry
 // replay always runs serially, so exporting with -workers > 1 doubles as a
 // parallel-vs-serial determinism cross-check.
-//
-// -compile selects the block-compilation execution engine (internal/cpu's
-// flat micro-op streams): off (default), on, or auto. The engine is
-// bit-identical to the interpreter; the knob trades nothing but wall
-// clock. "on" is rejected with -workers > 1 — the parallel engine's
-// speculative rounds bypass block compilation — while "auto" compiles
-// exactly the serial executions and is valid with any worker count.
 //
 // -trace writes the run's cycle-domain timeline as Chrome trace-event JSON
 // (load it at https://ui.perfetto.dev), -metrics writes a Prometheus text
@@ -70,8 +62,6 @@ func main() {
 	errs := flag.Int("errors", 0, "override error count for _E configurations")
 	threshold := flag.Int("threshold", 0, "Slice-length threshold override (0 = benchmark default)")
 	workers := flag.Int("workers", 1, "intra-run simulation workers (>1 = parallel engine, bit-identical to serial; 0 = GOMAXPROCS)")
-	compileFlag := flag.String("compile", "off", "block-compilation engine: off|on|auto (bit-identical to the interpreter; on requires -workers 1, auto compiles serial executions only)")
-	coalesce := flag.Bool("coalesce", true, "scheduler quantum coalescing (bit-identical to the flat scheduler; only wall clock changes)")
 	strategy := flag.String("strategy", "", "checkpoint-strategy override: full|amnesic|differential|tiered|auto (aliases: diff, tier); keeps -config's _E/,Loc modifiers")
 	listStrategies := flag.Bool("list-strategies", false, "list the checkpoint strategies and exit")
 	verbose := flag.Bool("v", false, "print checkpoint interval details")
@@ -117,20 +107,10 @@ func main() {
 	if simWorkers == 0 {
 		simWorkers = runtime.GOMAXPROCS(0)
 	}
-	compileMode, err := bench.ParseCompileMode(*compileFlag)
-	if err != nil {
-		fatal(err)
-	}
-	simCompile, err := compileMode.Resolve(simWorkers)
-	if err != nil {
-		fatal(err)
-	}
 
 	p := bench.Params{Threads: *threads, Class: cl}
 	r := bench.NewRunner()
 	r.SimWorkers = simWorkers
-	r.SimCompile = simCompile
-	r.SimCoalesce = *coalesce
 
 	var registry *obsrv.Registry
 	var server *obsrv.Server

@@ -178,26 +178,6 @@ type Runner struct {
 	//acr:memo-exempt
 	SimWorkers int
 
-	// SimCompile hands sim.Config.Compile to every execution: the
-	// block-compilation engine. The engine is bit-identical to the
-	// interpreter by contract (the sim package's compile fuzz oracle),
-	// so the knob is deliberately not part of the memoisation key: a
-	// cache warmed with the engine on serves -compile=false runs and
-	// vice versa.
-	//
-	//acr:memo-exempt
-	SimCompile bool
-
-	// SimCoalesce hands sim.Config.Coalesce to every execution: scheduler
-	// quantum coalescing on the serial engine. Coalescing only reorders
-	// provably core-private instructions, so results are bit-identical
-	// with it on or off (the sim package's fuzz and oracle suites pin
-	// this) and the knob is deliberately not part of the memoisation key,
-	// exactly like SimCompile. NewRunner enables it.
-	//
-	//acr:memo-exempt
-	SimCoalesce bool
-
 	// Lifecycle, when non-nil, receives job begin/end notifications from
 	// RunAll and RunObserved and may attach observers to executions (the
 	// live run registry in internal/obsrv rides on it). Observation is
@@ -221,10 +201,9 @@ type runEntry struct {
 	err  error
 }
 
-// NewRunner returns an empty-cache runner with quantum coalescing enabled
-// (the sim default).
+// NewRunner returns an empty-cache runner.
 func NewRunner() *Runner {
-	return &Runner{cache: make(map[runKey]*runEntry), SimCoalesce: true}
+	return &Runner{cache: make(map[runKey]*runEntry)}
 }
 
 // Run executes benchmark bench under spec at the given scale, memoised.
@@ -313,8 +292,6 @@ func (r *Runner) execute(bench workloads.Bench, p Params, spec Spec, workers int
 	spec = spec.normalized()
 	cfg := sim.DefaultConfig(p.Threads)
 	cfg.Workers = workers
-	cfg.Compile = r.SimCompile
-	cfg.Coalesce = r.SimCoalesce
 	cfg.Observers = obs
 	if spec.Ckpt {
 		cfg.Checkpointing = true

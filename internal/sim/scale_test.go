@@ -61,8 +61,8 @@ func TestLegacyLimitLifted(t *testing.T) {
 
 // TestScaleBitIdentityFuzz extends the bit-identity fuzz oracle to 128- and
 // 256-core machines: for each scale, every checkpoint strategy crossed with
-// workers 1/4, the block-compilation engine, and the quantum coalescer must
-// reproduce the serial interpreter bit-for-bit — the full Result and every
+// workers 1/4 and the quantum coalescer must reproduce the serial
+// interpreter bit-for-bit — the full Result and every
 // data-memory word. This is the acceptance gate for the sharded memory plane
 // and the grouped scheduler queue: any shard-ownership or pick-order bug at
 // scale shows up as a diverging cycle count or memory word here.
@@ -84,13 +84,9 @@ func TestScaleBitIdentityFuzz(t *testing.T) {
 		// Coalescing off must match the default-on serial reference
 		// exactly: the coalescer only changes wall clock.
 		off := base
-		off.Coalesce = false
+		off.noCoalesce = true
 		ores, omem, _ := runWorkers(t, off, p, 1)
 		checkBitIdentical(t, "coalesce-off@"+itoa(cores), ref, ores, refMem, omem)
-
-		// Compiled uncheckpointed run.
-		cres, cmem, _ := runCompiled(t, base, p, 1)
-		checkBitIdentical(t, "compiled/none@"+itoa(cores), ref, cres, refMem, cmem)
 
 		for _, kind := range ckpt.Kinds() {
 			cfg := base
@@ -103,16 +99,13 @@ func TestScaleBitIdentityFuzz(t *testing.T) {
 			want, wantMem, _ := runWorkers(t, cfg, p, 1)
 
 			noco := cfg
-			noco.Coalesce = false
+			noco.noCoalesce = true
 			nres, nmem, _ := runWorkers(t, noco, p, 1)
 			label := itoa(cores) + "/" + kind.String()
 			checkBitIdentical(t, label+"/coalesce-off", want, nres, wantMem, nmem)
 
 			pres, pmem, _ := runWorkers(t, cfg, p, 4)
 			checkBitIdentical(t, label+"/workers=4", want, pres, wantMem, pmem)
-
-			gres, gmem, _ := runCompiled(t, cfg, p, 1)
-			checkBitIdentical(t, label+"/compiled", want, gres, wantMem, gmem)
 		}
 	}
 }
@@ -146,12 +139,10 @@ func TestCoalesceBitIdentitySmall(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		p := testKernel(tThreads, tPer, tIters)
-		on := sc.cfg
-		on.Coalesce = true
 		off := sc.cfg
-		off.Coalesce = false
+		off.noCoalesce = true
 		want, wantMem, _ := runWorkers(t, off, p, 1)
-		got, gotMem, _ := runWorkers(t, on, p, 1)
+		got, gotMem, _ := runWorkers(t, sc.cfg, p, 1)
 		checkBitIdentical(t, sc.name, want, got, wantMem, gotMem)
 	}
 }
@@ -167,7 +158,7 @@ func TestQuantumCoalescingLengthensSpans(t *testing.T) {
 
 	run := func(coalesce bool) SchedStats {
 		cfg := DefaultConfig(cores)
-		cfg.Coalesce = coalesce
+		cfg.noCoalesce = !coalesce
 		m, err := New(cfg, p)
 		if err != nil {
 			t.Fatal(err)

@@ -203,8 +203,8 @@ func (c *Collector) ObserveResult(res sim.Result) {
 // SchedCollector exports the serial engine's dispatch diagnostics — the
 // quantum-length histogram and the coalescing counters. It is a separate
 // observer from Collector because sim.SchedStats describe the engine, not
-// the simulated machine: they move with the Coalesce/Compile/Workers speed
-// seams while Result does not, and profiles recorded without a
+// the simulated machine: they move with quantum coalescing and the Workers
+// speed seam while Result does not, and profiles recorded without a
 // SchedCollector attached (notably the fastpath oracle fixture) must stay
 // byte-identical.
 type SchedCollector struct{ reg *Registry }

@@ -67,19 +67,6 @@ func BadControl() {
 	defer f() // want "defer allocates its frame record"
 }
 
-// BadBlockClosure is the block-compilation anti-pattern: building a dyn
-// closure inside the annotated execution loop. Closures belong in the cold
-// compile step — a compile performed on the hot path allocates per quantum
-// instead of once per block.
-//
-//acr:noalloc
-func BadBlockClosure(t *table, pc int) func() {
-	op := t.slots[pc]
-	return func() { // want "closure may escape to the heap"
-		t.slots[pc].a = op.a + op.b
-	}
-}
-
 // shard mimics one slice of the line-sharded memory plane: a dirty-line
 // scratch list sealed into each checkpoint.
 type shard struct {

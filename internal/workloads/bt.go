@@ -20,7 +20,7 @@ func BuildBT(threads int, class Class) (*prog.Program, error) {
 	n := int64(class.N)
 	u := b.Data(threads * class.N)
 	rhs := b.Data(threads * class.N)
-	shared := b.Data(64 * lineWords)
+	shared := exchangeRegion(b, threads)
 
 	buckets := []depthBucket{
 		{UpTo: 82, Depth: 8}, // ≈41% scalar updates (the boundary

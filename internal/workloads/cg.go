@@ -24,7 +24,7 @@ func BuildCG(threads int, class Class) (*prog.Program, error) {
 	a := b.Data(threads * streamWords)
 	p := b.Data(threads * class.N)
 	q := b.Data(threads * class.N)
-	shared := b.Data(64 * lineWords)
+	shared := exchangeRegion(b, threads)
 
 	const (
 		rABase isa.Reg = 10

@@ -22,7 +22,7 @@ func BuildDC(threads int, class Class) (*prog.Program, error) {
 	tuples := b.Data(threads * class.N)
 	agg := b.Data(threads * class.N)
 	view := b.Data(threads * class.N)
-	shared := b.Data(64 * lineWords)
+	shared := exchangeRegion(b, threads)
 
 	const rAgg isa.Reg = 10
 	const rView isa.Reg = 11

@@ -170,6 +170,14 @@ func partitionBase(b *prog.Builder, dst isa.Reg, arrBase int64, stride int64) {
 	b.OpI(isa.ADDI, dst, dst, arrBase)
 }
 
+// exchangeRegion reserves the shared array of line-aligned slots that
+// allToAllReduce, pairExchange and neighbourExchange index by thread id:
+// one line per thread, and never fewer than 64 lines, so programs at ≤64
+// threads keep their historical data layout.
+func exchangeRegion(b *prog.Builder, threads int) int64 {
+	return b.Data(max(64, threads) * lineWords)
+}
+
 // allToAllReduce emits the coordination pattern of bt/cg/sp: every thread
 // publishes a partial value to its line-aligned slot of a shared array,
 // barriers, then reads every other thread's slot and accumulates. The

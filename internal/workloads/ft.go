@@ -22,7 +22,7 @@ func BuildFT(threads int, class Class) (*prog.Program, error) {
 	x := b.Data(threads * class.N)
 	y := b.Data(threads * class.N)
 	scratch := b.Data(threads * class.N)
-	shared := b.Data(64 * lineWords)
+	shared := exchangeRegion(b, threads)
 
 	buckets := []depthBucket{
 		{UpTo: 46, Depth: 8},   // 23% first butterflies of a block

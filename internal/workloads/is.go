@@ -28,7 +28,7 @@ func BuildIS(threads int, class Class) (*prog.Program, error) {
 	work := b.Data(threads * class.N)
 	counts := b.Data(threads * int(nBuckets))
 	ranks := b.Data(threads * int(nBuckets))
-	shared := b.Data(64 * lineWords)
+	shared := exchangeRegion(b, threads)
 
 	const (
 		rCnt isa.Reg = 10

@@ -19,7 +19,7 @@ func BuildLU(threads int, class Class) (*prog.Program, error) {
 	n := int64(class.N)
 	u := b.Data(threads * class.N)
 	rsd := b.Data(threads * class.N)
-	shared := b.Data(64 * lineWords)
+	shared := exchangeRegion(b, threads)
 
 	buckets := []depthBucket{
 		{UpTo: 427, Depth: 7},

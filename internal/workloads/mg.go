@@ -20,7 +20,7 @@ func BuildMG(threads int, class Class) (*prog.Program, error) {
 	n := int64(class.N)
 	u := b.Data(threads * class.N)
 	r := b.Data(threads * class.N)
-	shared := b.Data(64 * lineWords)
+	shared := exchangeRegion(b, threads)
 
 	buckets := []depthBucket{
 		{UpTo: 116, Depth: 7},   // boundary / restriction stores

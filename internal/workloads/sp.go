@@ -18,7 +18,7 @@ func BuildSP(threads int, class Class) (*prog.Program, error) {
 	n := int64(class.N)
 	u := b.Data(threads * class.N)
 	rhs := b.Data(threads * class.N)
-	shared := b.Data(64 * lineWords)
+	shared := exchangeRegion(b, threads)
 
 	buckets := []depthBucket{
 		{UpTo: 374, Depth: 7},
