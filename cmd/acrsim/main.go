@@ -20,7 +20,9 @@
 // deterministic parallel engine (conflict-checked speculative rounds,
 // bit-identical to serial execution); 0 means GOMAXPROCS. The telemetry
 // replay always runs serially, so exporting with -workers > 1 doubles as a
-// parallel-vs-serial determinism cross-check.
+// parallel-vs-serial determinism cross-check; the engine diagnostics
+// (acr_sched_*, acr_parallel_*) come from a second replay through the
+// parallel engine.
 //
 // -trace writes the run's cycle-domain timeline as Chrome trace-event JSON
 // (load it at https://ui.perfetto.dev), -metrics writes a Prometheus text
@@ -95,7 +97,6 @@ func main() {
 		}
 		spec.Ckpt = true
 		spec.Strategy = kind
-		spec.Amnesic = kind.Amnesic()
 	}
 	spec.NumCkpts = *ckpts
 	spec.Threshold = *threshold
@@ -190,7 +191,7 @@ func main() {
 				res.Ckpt.RestoredWords, res.Ckpt.RecomputedWords)
 		}
 	}
-	if spec.Amnesic {
+	if spec.Strategy.Amnesic() {
 		am := res.AddrMap
 		fmt.Printf("AddrMap      %d inserts, %d too-long, %d hits/%d lookups, peak %d records / %d input words\n",
 			am.Inserts, am.SliceTooLong, am.Hits, am.Lookups, am.PeakOccupancy, am.PeakInputWords)
@@ -214,17 +215,23 @@ func main() {
 // exportTelemetry replays the configured run once with a metrics Collector
 // and (optionally) a Chrome tracer attached, then writes the requested
 // artifacts. The replay reuses the calibrated period from the memoised run
-// and always executes serially (the serial scheduler is the determinism
-// oracle), so it must be bit-identical to the summary already printed —
-// whatever worker count produced that summary. A divergence is a
-// determinism bug — with mainWorkers > 1, specifically a parallel-engine
-// bug — and aborts the export rather than silently emitting a profile of a
-// different execution.
+// and executes serially (the serial scheduler is the determinism oracle),
+// so it must be bit-identical to the summary already printed — whatever
+// worker count produced that summary. A divergence is a determinism bug —
+// with mainWorkers > 1, specifically a parallel-engine bug — and aborts the
+// export rather than silently emitting a profile of a different execution.
+// The engine diagnostics describe the engine that produced the summary, so
+// with mainWorkers > 1 the SchedCollector observes a second replay through
+// the parallel engine.
 func exportTelemetry(r *bench.Runner, benchName string, p bench.Params, spec bench.Spec,
 	want sim.Result, mainWorkers int, traceOut, metricsOut, profileOut string) error {
 	reg := telemetry.NewRegistry()
 	col := telemetry.NewCollector(reg)
-	obs := []sim.Observer{col, telemetry.NewSchedCollector(reg)}
+	sched := telemetry.NewSchedCollector(reg)
+	obs := []sim.Observer{col}
+	if mainWorkers <= 1 {
+		obs = append(obs, sched)
+	}
 
 	var tracer *telemetry.Tracer
 	if traceOut != "" {
@@ -237,6 +244,7 @@ func exportTelemetry(r *bench.Runner, benchName string, p bench.Params, spec ben
 		obs = append(obs, tracer)
 	}
 
+	r.SimWorkers = 1
 	res, err := r.RunObserved(benchName, p, spec, obs...)
 	if err != nil {
 		return err
@@ -246,6 +254,12 @@ func exportTelemetry(r *bench.Runner, benchName string, p bench.Params, spec ben
 			mainWorkers, res.Cycles, res.Instrs, want.Cycles, want.Instrs)
 	}
 	col.ObserveResult(res)
+	if mainWorkers > 1 && (metricsOut != "" || profileOut != "") {
+		r.SimWorkers = mainWorkers
+		if _, err := r.RunObserved(benchName, p, spec, sched); err != nil {
+			return err
+		}
+	}
 
 	if tracer != nil {
 		if err := tracer.Close(); err != nil {
@@ -327,7 +341,6 @@ func parseSpec(name string) (bench.Spec, error) {
 		return bench.Spec{}, fmt.Errorf("unknown configuration %q", name)
 	}
 	spec.Strategy = kind
-	spec.Amnesic = kind.Amnesic()
 	return spec, nil
 }
 

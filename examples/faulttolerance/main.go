@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 
+	"acr/internal/ckpt"
 	acr "acr/internal/core"
 	"acr/internal/fault"
 	"acr/internal/sim"
@@ -32,12 +33,12 @@ func main() {
 	fmt.Printf("is, %d threads, class %s: error-free %d cycles\n\n", threads, class.Name, refRes.Cycles)
 	fmt.Println("errors  Ckpt_E cycles  ReCkpt_E cycles  recomputed  verified")
 	for errs := 1; errs <= 5; errs++ {
-		ckpt := runOnce(bench, class, threads, period, refRes.Cycles, errs, false)
+		full := runOnce(bench, class, threads, period, refRes.Cycles, errs, false)
 		re := runOnce(bench, class, threads, period, refRes.Cycles, errs, true)
 		verify(ref, re.mem, re.words)
-		verify(ref, ckpt.mem, ckpt.words)
+		verify(ref, full.mem, full.words)
 		fmt.Printf("%6d  %13d  %15d  %10d  %8s\n",
-			errs, ckpt.cycles, re.cycles, re.recomputed, "yes")
+			errs, full.cycles, re.cycles, re.recomputed, "yes")
 	}
 	fmt.Println("\nevery run recovered to the exact error-free memory image;")
 	fmt.Println("ReCkpt pays recomputation during recovery but wins it back on checkpointing.")
@@ -56,8 +57,8 @@ func runOnce(bench workloads.Bench, class workloads.Class, threads int, period, 
 	cfg := sim.DefaultConfig(threads)
 	cfg.Checkpointing = true
 	cfg.PeriodCycles = period
-	cfg.Amnesic = amnesic
 	if amnesic {
+		cfg.Strategy = ckpt.KindAmnesic
 		cfg.ACR = acr.Config{Threshold: bench.Threshold, MapCapacity: 4096 * threads}
 	}
 	cfg.Errors = fault.Uniform(errs, horizon, period/2)

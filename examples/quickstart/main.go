@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"acr/internal/analysis"
+	"acr/internal/ckpt"
 	acr "acr/internal/core"
 	"acr/internal/fault"
 	"acr/internal/isa"
@@ -67,7 +68,7 @@ func main() {
 	// ACR run: checkpoint every ~1/10 of the run, one injected error.
 	cfg := sim.DefaultConfig(1)
 	cfg.Checkpointing = true
-	cfg.Amnesic = true
+	cfg.Strategy = ckpt.KindAmnesic
 	cfg.ACR = acr.Config{Threshold: 10, MapCapacity: 4096}
 	cfg.PeriodCycles = refRes.Cycles / 10
 	cfg.Errors = fault.Uniform(1, refRes.Cycles, cfg.PeriodCycles/2)

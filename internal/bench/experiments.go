@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"acr/internal/ckpt"
 	"acr/internal/fault"
 	"acr/internal/mem"
 	"acr/internal/sim"
@@ -296,7 +297,7 @@ func (r *Runner) Fig11(p Params) (*stats.Table, error) {
 	for e := 1; e <= 5; e++ {
 		specs = append(specs,
 			Spec{Ckpt: true, Errors: e},
-			Spec{Ckpt: true, Errors: e, Amnesic: true})
+			Spec{Ckpt: true, Errors: e, Strategy: ckpt.KindAmnesic})
 	}
 	if err := r.warm(p, specs...); err != nil {
 		return nil, err
@@ -310,7 +311,7 @@ func (r *Runner) Fig11(p Params) (*stats.Table, error) {
 		}
 		for e := 1; e <= 5; e++ {
 			ck := Spec{Ckpt: true, Errors: e}
-			re := Spec{Ckpt: true, Errors: e, Amnesic: true}
+			re := Spec{Ckpt: true, Errors: e, Strategy: ckpt.KindAmnesic}
 			rc, err := r.Run(name, p, ck)
 			if err != nil {
 				return nil, err
@@ -360,7 +361,7 @@ func (r *Runner) Fig12(p Params) (*stats.Table, error) {
 	for _, c := range counts {
 		specs = append(specs,
 			Spec{Ckpt: true, NumCkpts: c},
-			Spec{Ckpt: true, Amnesic: true, NumCkpts: c})
+			Spec{Ckpt: true, Strategy: ckpt.KindAmnesic, NumCkpts: c})
 	}
 	if err := r.warm(p, specs...); err != nil {
 		return nil, err
@@ -374,7 +375,7 @@ func (r *Runner) Fig12(p Params) (*stats.Table, error) {
 		row := []string{name}
 		for i, c := range counts {
 			ck := Spec{Ckpt: true, NumCkpts: c}
-			re := Spec{Ckpt: true, Amnesic: true, NumCkpts: c}
+			re := Spec{Ckpt: true, Strategy: ckpt.KindAmnesic, NumCkpts: c}
 			rc, err := r.Run(name, p, ck)
 			if err != nil {
 				return nil, err

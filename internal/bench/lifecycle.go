@@ -39,10 +39,10 @@ type JobObservation interface {
 
 // KeyString renders the job's deterministic memoisation key as a stable,
 // human-readable string: benchmark, scale, the paper configuration name,
-// then every remaining normalised Spec knob spelled explicitly. Two jobs
-// share a KeyString exactly when they share a memo cache cell, so the
-// string is usable as a cross-process run-registry and result-store key
-// (the lifecycle key test proves every Spec field reaches it).
+// then every remaining Spec knob spelled explicitly. Two jobs share a
+// KeyString exactly when they share a memo cache cell, so the string is
+// usable as a cross-process run-registry and result-store key (the
+// lifecycle key test proves every Spec field reaches it).
 func (j Job) KeyString() string {
 	k := j.key()
 	s := k.spec

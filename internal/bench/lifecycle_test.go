@@ -208,15 +208,3 @@ func TestKeyStringCoversEverySpecField(t *testing.T) {
 		t.Errorf("key %q lacks prefix %q", baseKey, want)
 	}
 }
-
-// TestKeyStringMatchesMemoIdentity: two jobs share a KeyString exactly when
-// they share a memo cell — the normalised legacy spelling and the explicit
-// strategy spelling collapse to one key.
-func TestKeyStringMatchesMemoIdentity(t *testing.T) {
-	p := lcParams()
-	legacy := Job{Bench: "is", Params: p, Spec: Spec{Ckpt: true, Amnesic: true}}
-	explicit := Job{Bench: "is", Params: p, Spec: Spec{Ckpt: true, Strategy: ckpt.KindAmnesic}}
-	if legacy.KeyString() != explicit.KeyString() {
-		t.Fatalf("normalised spellings diverge: %q vs %q", legacy.KeyString(), explicit.KeyString())
-	}
-}

@@ -8,13 +8,12 @@ import (
 )
 
 // specProbes varies exactly one Spec field away from its zero value. The
-// memokey analyzer proves statically that every non-exempt field reaches
-// the memo key; this table lets TestMemoKeyNonExemptFieldsDistinct prove
-// dynamically that the key actually separates on each one.
+// memokey analyzer proves statically that runKey is a pure value embedding
+// the Spec; this table lets TestMemoKeyNonExemptFieldsDistinct prove
+// dynamically that the key actually separates on each field.
 var specProbes = map[string]Spec{
 	"Ckpt":        {Ckpt: true},
 	"Errors":      {Errors: 1},
-	"Amnesic":     {Amnesic: true},
 	"Local":       {Local: true},
 	"Threshold":   {Threshold: 7},
 	"NumCkpts":    {NumCkpts: 13},
@@ -25,11 +24,10 @@ var specProbes = map[string]Spec{
 	"Strategy":    {Strategy: ckpt.KindTiered},
 }
 
-// TestMemoKeyNonExemptFieldsDistinct: the //acr:memo-spec grammar promises
-// that changing any non-exempt Spec field changes the memoisation key.
-// Every field is enumerated by reflection, so adding a Spec field without
-// extending the probe table fails here — the dynamic twin of the memokey
-// analyzer's completeness check.
+// TestMemoKeyNonExemptFieldsDistinct: runKey embeds the Spec, so changing
+// any Spec field must change the memoisation key. Every field is
+// enumerated by reflection, so adding a Spec field without extending the
+// probe table fails here.
 func TestMemoKeyNonExemptFieldsDistinct(t *testing.T) {
 	p := tinyParams()
 	base := Job{Bench: "is", Params: p}
@@ -54,8 +52,7 @@ func TestMemoKeyNonExemptFieldsDistinct(t *testing.T) {
 }
 
 // TestMemoKeyProbesPairwiseDistinct: no two single-field probes may fold to
-// the same key either — the normaliser is allowed to merge spellings of the
-// same configuration (Amnesic vs KindAmnesic), never distinct ones.
+// the same key either.
 func TestMemoKeyProbesPairwiseDistinct(t *testing.T) {
 	p := tinyParams()
 	keys := make(map[runKey]string)
@@ -75,7 +72,7 @@ func TestMemoKeyProbesPairwiseDistinct(t *testing.T) {
 // SimWorkers leaning on the parallel engine's bit-identity guarantee.
 func TestMemoExemptKnobsShareCell(t *testing.T) {
 	p := tinyParams()
-	spec := Spec{Ckpt: true, Amnesic: true, NumCkpts: 10}
+	spec := Spec{Ckpt: true, Strategy: ckpt.KindAmnesic, NumCkpts: 10}
 
 	r := NewRunner()
 	want, err := r.Run("is", p, spec)

@@ -17,11 +17,13 @@ import (
 // is bit-identical to the cached run — the observers see the single
 // converged execution, and the returned Result equals Run's.
 //
-// The replay always runs serially (sim.Config.Workers = 1) regardless of
-// r.SimWorkers: the serial scheduler is the determinism oracle, so when the
-// cached run used the parallel engine, comparing the replayed Result against
-// the cached one cross-checks workers>1 against workers=1 — a divergence is
-// a parallel-determinism bug the caller must surface, not export around.
+// The replay runs at r.SimWorkers, so engine diagnostics delivered to a
+// sim.SchedStatsObserver describe the configured engine. Setting
+// SimWorkers to 1 for the replay makes it the serial oracle: when the
+// cached run used the parallel engine, comparing the replayed Result
+// against the cached one cross-checks workers>1 against workers=1 — a
+// divergence is a parallel-determinism bug the caller must surface, not
+// export around.
 // A runner with a Lifecycle attached additionally registers the observed
 // job: the lifecycle's observers join the replay (seeing exactly the
 // converged execution) and JobEnd receives the replayed Result.
@@ -35,7 +37,7 @@ func (r *Runner) RunObserved(benchName string, p Params, spec Spec, obs ...sim.O
 		defer func() { token.JobEnd(res, err) }()
 	}
 	if !spec.Ckpt {
-		return r.execute(bench, p, spec, 1, 0, 0, 0, obs...)
+		return r.execute(bench, p, spec, r.SimWorkers, 0, 0, 0, obs...)
 	}
 	calibrated, cerr := r.Run(benchName, p, spec)
 	if cerr != nil {
@@ -45,5 +47,5 @@ func (r *Runner) RunObserved(benchName string, p Params, spec Spec, obs ...sim.O
 	if n == 0 {
 		n = DefaultNumCkpts
 	}
-	return r.execute(bench, p, spec, 1, calibrated.PeriodCycles, int64(n), calibrated.ROIStartCycles, obs...)
+	return r.execute(bench, p, spec, r.SimWorkers, calibrated.PeriodCycles, int64(n), calibrated.ROIStartCycles, obs...)
 }

@@ -18,7 +18,7 @@ type Job struct {
 }
 
 func (j Job) key() runKey {
-	return runKey{j.Bench, j.Params.Threads, j.Params.Class.Name, j.Spec.normalized()}
+	return runKey{j.Bench, j.Params.Threads, j.Params.Class.Name, j.Spec}
 }
 
 // JobReport records how one RunAll job executed. QueueWait is the time the

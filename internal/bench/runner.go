@@ -17,20 +17,14 @@ import (
 	"acr/internal/workloads"
 )
 
-// Spec names one of the paper's configurations (§IV). Every field either
-// reaches the memoisation key (runKey embeds the normalised Spec) or is
-// folded into a keyed field by the canonicaliser — the memokey analyzer
-// proves it.
-//
-//acr:memo-spec normalized
+// Spec names one of the paper's configurations (§IV). runKey embeds the
+// Spec as given, so every field is part of the memoisation key.
 type Spec struct {
 	// Ckpt enables checkpointing; Errors injects that many fail-stop
-	// errors; Amnesic attaches ACR; Local selects coordinated local
-	// checkpointing.
-	Ckpt    bool
-	Errors  int
-	Amnesic bool
-	Local   bool
+	// errors; Local selects coordinated local checkpointing.
+	Ckpt   bool
+	Errors int
+	Local  bool
 	// Threshold overrides the benchmark's Slice-length threshold
 	// (0 keeps the benchmark default: 10, or 5 for is).
 	Threshold int
@@ -54,30 +48,16 @@ type Spec struct {
 	// strategy's retained-checkpoint depth minus one).
 	DetectFrac float64
 
-	// Strategy selects the checkpoint scheme (ckpt.Kinds). The zero value
-	// composes with the legacy booleans: Amnesic spells ckpt.KindAmnesic,
-	// otherwise the conventional full-logging baseline. Specs are
-	// normalised before memoisation, so the boolean and explicit
-	// spellings share one cache cell instead of colliding or duplicating.
+	// Strategy selects the checkpoint scheme (ckpt.Kinds); the zero value
+	// is the conventional full-logging baseline, and the amnesic-family
+	// strategies (amnesic, auto) attach ACR.
 	Strategy ckpt.Kind
 }
 
-// normalized folds the legacy Amnesic boolean and the Strategy field into
-// one canonical spelling: Strategy always names the scheme, and Amnesic is
-// set exactly for the amnesic-family strategies. Every cache key and
-// execution path uses the normalised form.
-func (s Spec) normalized() Spec {
-	if s.Strategy == ckpt.KindFull && s.Amnesic {
-		s.Strategy = ckpt.KindAmnesic
-	}
-	s.Amnesic = s.Strategy.Amnesic()
-	return s
-}
-
-// Kind returns the checkpoint strategy the Spec resolves to after
-// normalisation — the name CLIs and telemetry should report.
+// Kind returns the checkpoint strategy the Spec selects — the name CLIs
+// and telemetry should report.
 func (s Spec) Kind() ckpt.Kind {
-	return s.normalized().Strategy
+	return s.Strategy
 }
 
 // The paper's named configurations.
@@ -85,12 +65,12 @@ var (
 	NoCkpt      = Spec{}
 	CkptNE      = Spec{Ckpt: true}
 	CkptE       = Spec{Ckpt: true, Errors: 1}
-	ReCkptNE    = Spec{Ckpt: true, Amnesic: true}
-	ReCkptE     = Spec{Ckpt: true, Amnesic: true, Errors: 1}
+	ReCkptNE    = Spec{Ckpt: true, Strategy: ckpt.KindAmnesic}
+	ReCkptE     = Spec{Ckpt: true, Strategy: ckpt.KindAmnesic, Errors: 1}
 	CkptNELoc   = Spec{Ckpt: true, Local: true}
 	CkptELoc    = Spec{Ckpt: true, Errors: 1, Local: true}
-	ReCkptNELoc = Spec{Ckpt: true, Amnesic: true, Local: true}
-	ReCkptELoc  = Spec{Ckpt: true, Amnesic: true, Errors: 1, Local: true}
+	ReCkptNELoc = Spec{Ckpt: true, Strategy: ckpt.KindAmnesic, Local: true}
+	ReCkptELoc  = Spec{Ckpt: true, Strategy: ckpt.KindAmnesic, Errors: 1, Local: true}
 )
 
 // String renders the paper's name for the configuration.
@@ -98,7 +78,6 @@ func (s Spec) String() string {
 	if !s.Ckpt {
 		return "NoCkpt"
 	}
-	s = s.normalized()
 	var name string
 	switch s.Strategy {
 	case ckpt.KindAmnesic:
@@ -220,7 +199,6 @@ func (r *Runner) Run(benchName string, p Params, spec Spec) (sim.Result, error) 
 // gate attaches its observers — concurrent requests for an in-flight key
 // share the result, not the event stream.
 func (r *Runner) runWith(benchName string, p Params, spec Spec, obs ...sim.Observer) (sim.Result, error) {
-	spec = spec.normalized()
 	e := r.entry(runKey{benchName, p.Threads, p.Class.Name, spec})
 	e.once.Do(func() { e.res, e.err = r.run(benchName, p, spec, obs...) })
 	return e.res, e.err
@@ -289,7 +267,6 @@ func (r *Runner) run(benchName string, p Params, spec Spec, obs ...sim.Observer)
 }
 
 func (r *Runner) execute(bench workloads.Bench, p Params, spec Spec, workers int, period, maxCkpts, roi int64, obs ...sim.Observer) (sim.Result, error) {
-	spec = spec.normalized()
 	cfg := sim.DefaultConfig(p.Threads)
 	cfg.Workers = workers
 	cfg.Observers = obs
@@ -302,7 +279,7 @@ func (r *Runner) execute(bench workloads.Bench, p Params, spec Spec, workers int
 		if spec.Local {
 			cfg.Mode = ckpt.Local
 		}
-		if spec.Amnesic {
+		if spec.Strategy.Amnesic() {
 			threshold := spec.Threshold
 			if threshold == 0 {
 				threshold = bench.Threshold

@@ -26,27 +26,8 @@ func TestSpecStrategyNames(t *testing.T) {
 	}
 }
 
-// TestSpecNormalization: the legacy Amnesic boolean and the explicit
-// KindAmnesic strategy are the same configuration — they must normalise to
-// one spelling so the memo cache holds a single cell for both.
-func TestSpecNormalization(t *testing.T) {
-	legacy := Spec{Ckpt: true, Amnesic: true}
-	explicit := Spec{Ckpt: true, Strategy: ckpt.KindAmnesic}
-	if legacy.normalized() != explicit.normalized() {
-		t.Errorf("legacy %+v and explicit %+v normalise differently:\n%+v\n%+v",
-			legacy, explicit, legacy.normalized(), explicit.normalized())
-	}
-	if got := explicit.normalized(); !got.Amnesic {
-		t.Errorf("normalised KindAmnesic spec lost the Amnesic flag: %+v", got)
-	}
-	if got := legacy.normalized().String(); got != "ReCkpt_NE" {
-		t.Errorf("normalised legacy spec renders %q", got)
-	}
-}
-
 // TestStrategyMemoKeysDistinct is the cache-collision satellite: every
-// strategy must key its own cache cell, and the two amnesic spellings must
-// share exactly one.
+// strategy must key its own cache cell.
 func TestStrategyMemoKeysDistinct(t *testing.T) {
 	p := tinyParams()
 	keys := make(map[runKey]ckpt.Kind)
@@ -60,37 +41,6 @@ func TestStrategyMemoKeysDistinct(t *testing.T) {
 	}
 	if len(keys) != len(ckpt.Kinds()) {
 		t.Fatalf("expected %d distinct keys, got %d", len(ckpt.Kinds()), len(keys))
-	}
-
-	legacy := Job{Bench: "is", Params: p, Spec: Spec{Ckpt: true, Amnesic: true}}
-	explicit := Job{Bench: "is", Params: p, Spec: Spec{Ckpt: true, Strategy: ckpt.KindAmnesic}}
-	if legacy.key() != explicit.key() {
-		t.Errorf("legacy Amnesic and explicit KindAmnesic jobs key different cells:\n%+v\n%+v",
-			legacy.key(), explicit.key())
-	}
-}
-
-// TestStrategyMemoSharedCell executes both amnesic spellings through the
-// runner and checks they occupied one cache entry with identical results —
-// the end-to-end form of the key test above.
-func TestStrategyMemoSharedCell(t *testing.T) {
-	r := NewRunner()
-	p := tinyParams()
-	a, err := r.Run("is", p, Spec{Ckpt: true, Amnesic: true, NumCkpts: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := len(r.cache)
-	b, err := r.Run("is", p, Spec{Ckpt: true, Strategy: ckpt.KindAmnesic, NumCkpts: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.cache) != before {
-		t.Errorf("explicit spelling grew the cache from %d to %d entries — duplicate cell",
-			before, len(r.cache))
-	}
-	if a.Cycles != b.Cycles || a.EnergyPJ != b.EnergyPJ || a.Ckpt != b.Ckpt {
-		t.Errorf("spellings returned different results:\n%+v\n%+v", a, b)
 	}
 }
 

@@ -30,13 +30,14 @@ func TestRunnerSimWorkersBitIdentical(t *testing.T) {
 		}
 	}
 
-	// RunObserved always replays serially; against a parallel-warmed cache
-	// that is the workers>1 vs workers=1 cross-check acrsim's telemetry
-	// guard relies on.
+	// RunObserved at SimWorkers 1 replays serially; against a
+	// parallel-warmed cache that is the workers>1 vs workers=1 cross-check
+	// acrsim's telemetry guard relies on.
 	cached, err := par.Run("is", p, ReCkptE)
 	if err != nil {
 		t.Fatal(err)
 	}
+	par.SimWorkers = 1
 	obs := &streamRecorder{}
 	replayed, err := par.RunObserved("is", p, ReCkptE, obs)
 	if err != nil {

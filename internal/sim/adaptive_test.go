@@ -124,7 +124,7 @@ func TestAdaptiveDeferCap(t *testing.T) {
 
 	cfg := DefaultConfig(tThreads)
 	cfg.Checkpointing = true
-	cfg.Amnesic = true
+	cfg.Strategy = ckpt.KindAmnesic
 	cfg.ACR = acr.Config{Threshold: 10, MapCapacity: 4096 * tThreads}
 	cfg.PeriodCycles = refRes.Cycles / 8
 	cfg.AdaptivePlacement = true

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"acr/internal/ckpt"
 	acr "acr/internal/core"
 	"acr/internal/fault"
 )
@@ -28,7 +29,7 @@ func TestFaultedACRDeterminismRegression(t *testing.T) {
 	run := func() (Result, []int64) {
 		cfg := DefaultConfig(cores)
 		cfg.Checkpointing = true
-		cfg.Amnesic = true
+		cfg.Strategy = ckpt.KindAmnesic
 		cfg.ACR = acr.Config{Threshold: 10, MapCapacity: 4096 * cores}
 		cfg.PeriodCycles = refRes.Cycles / 4
 		cfg.Errors = fault.Uniform(2, refRes.Cycles, cfg.PeriodCycles/2)

@@ -79,7 +79,7 @@ func oracleRun(t *testing.T) (oracleRecord, []byte) {
 	}
 	cfg := sim.DefaultConfig(threads)
 	cfg.Checkpointing = true
-	cfg.Amnesic = true
+	cfg.Strategy = ckpt.KindAmnesic
 	cfg.Mode = ckpt.Local
 	cfg.AdaptivePlacement = true
 	cfg.ACR = acr.Config{Threshold: bench.Threshold, MapCapacity: 4096 * threads}

@@ -154,7 +154,7 @@ func TestFuzzDeterministicReplay(t *testing.T) {
 		run := func() Result {
 			cfg := DefaultConfig(3)
 			cfg.Checkpointing = true
-			cfg.Amnesic = true
+			cfg.Strategy = ckpt.KindAmnesic
 			cfg.ACR = acr.Config{Threshold: 10, MapCapacity: 1024}
 			cfg.PeriodCycles = 5000
 			cfg.Errors = fault.Uniform(1, 40000, 2000)

@@ -50,18 +50,15 @@ type Config struct {
 	Energy *energy.Model
 
 	// Checkpointing enables the BER substrate. Mode selects global or
-	// local coordination. Amnesic attaches ACR.
+	// local coordination.
 	Checkpointing bool
 	Mode          ckpt.Mode
-	Amnesic       bool
-	ACR           acr.Config
 	// Strategy selects the checkpoint scheme (see ckpt.Kinds). The zero
-	// value is the conventional full-logging baseline; setting Amnesic
-	// with the zero Strategy resolves to ckpt.KindAmnesic (the legacy
-	// spelling), and an explicitly amnesic strategy (amnesic, auto)
-	// implies Amnesic. Differential and tiered require Global mode and
-	// reject Amnesic.
+	// value is the conventional full-logging baseline; the amnesic-family
+	// strategies (amnesic, auto) attach ACR, configured by ACR.
+	// Differential and tiered require Global mode.
 	Strategy ckpt.Kind
+	ACR      acr.Config
 
 	// PeriodCycles is the checkpoint period; MaxCheckpoints caps how many
 	// checkpoints are established (the paper fixes the count per run and
@@ -98,7 +95,7 @@ type Config struct {
 	Workers int
 
 	// noCoalesce selects the flat scheduler: quantum coalescing (see
-	// runSerial) is switched off. Coalescing is bit-identical to the flat
+	// Machine.run) is switched off. Coalescing is bit-identical to the flat
 	// scheduler — only wall clock and SchedStats move — so the flat form
 	// survives only as the reference the package's bit-identity tests
 	// compare against; nothing outside package sim can set it.
@@ -250,7 +247,6 @@ type Machine struct {
 
 	barriers   int64
 	steps      int64
-	parStats   ParallelStats
 	schedStats SchedStats
 	// eagerSpan carries the instructions the last coalesce call retired
 	// eagerly into the next stepSpan's quantum accounting, so the quantum
@@ -285,16 +281,6 @@ func New(cfg Config, p *prog.Program) (*Machine, error) {
 	}
 	if cfg.Checkpointing && cfg.MaxCheckpoints == 0 {
 		cfg.MaxCheckpoints = 1 << 62 // unlimited
-	}
-	// Resolve the strategy dimension: the legacy Amnesic flag spells
-	// ckpt.KindAmnesic; amnesic-family strategies imply the ACR machinery.
-	if cfg.Strategy == ckpt.KindFull && cfg.Amnesic {
-		cfg.Strategy = ckpt.KindAmnesic
-	}
-	if cfg.Strategy.Amnesic() {
-		cfg.Amnesic = true
-	} else if cfg.Amnesic {
-		return nil, fmt.Errorf("sim: strategy %v does not compose with Amnesic (it has no log to omit from)", cfg.Strategy)
 	}
 	if cfg.Strategy != ckpt.KindFull && !cfg.Checkpointing {
 		return nil, fmt.Errorf("sim: strategy %v requires checkpointing", cfg.Strategy)
@@ -345,10 +331,7 @@ func New(cfg Config, p *prog.Program) (*Machine, error) {
 	m.eagerFn = m.eagerSteps
 	m.hooks = m
 
-	if cfg.Amnesic {
-		if !cfg.Checkpointing {
-			return nil, errors.New("sim: amnesic mode requires checkpointing")
-		}
+	if cfg.Strategy.Amnesic() {
 		if cfg.Strategy == ckpt.KindAuto && cfg.ACR.SitePlan == nil {
 			// The auto strategy's static pass: classify every ASSOC site
 			// ahead of time from the program's dataflow.
@@ -426,6 +409,15 @@ func barrierCycles(n int) int64 { return 40 + 4*int64(n) }
 // handlerCycles is the fixed checkpoint/recovery handler overhead.
 const handlerCycles = 25
 
+// SchedStatsObserver is an optional Observer extension: when a run
+// completes, the machine hands the engine's dispatch diagnostics to every
+// configured observer that implements it. Kept separate from the event
+// stream because SchedStats describe the engine, not the simulated
+// machine — they vary with coalescing and Workers while Result does not.
+type SchedStatsObserver interface {
+	ObserveSchedStats(SchedStats)
+}
+
 // Run executes the program to completion and returns the run summary.
 //
 // The loop is event-paced, not instruction-paced: each iteration picks the
@@ -436,17 +428,14 @@ const handlerCycles = 25
 // Within a quantum only the picked core's clock moves, so the instruction
 // interleaving — and therefore every statistic — is bit-identical to the
 // per-instruction scheduling it replaces.
-// SchedStatsObserver is an optional Observer extension: when a run
-// completes, the machine hands the serial engine's dispatch diagnostics to
-// every configured observer that implements it. Kept separate from the
-// event stream because SchedStats describe the engine, not the simulated
-// machine — they vary with coalescing and Workers while Result does not.
-type SchedStatsObserver interface {
-	ObserveSchedStats(SchedStats)
-}
-
+//
+// With Workers > 1 the same loop also drives the parallel engine
+// (parallel.go): when two or more cores can move before the round horizon,
+// the pick runs a speculative round instead of a quantum. An aborted round
+// leaves its span to the serial quanta of this loop — the oracle — until
+// the picked core's clock reaches the round's horizon.
 func (m *Machine) Run() (Result, error) {
-	res, err := m.runEngine()
+	res, err := m.run()
 	if err == nil {
 		for _, o := range m.cfg.Observers {
 			if so, ok := o.(SchedStatsObserver); ok {
@@ -457,14 +446,16 @@ func (m *Machine) Run() (Result, error) {
 	return res, err
 }
 
-func (m *Machine) runEngine() (Result, error) {
+func (m *Machine) run() (Result, error) {
+	var e *parallelEngine
 	if m.cfg.Workers > 1 && len(m.cores) > 1 {
-		return m.runParallel()
+		e = newParallelEngine(m)
+		defer e.shutdown()
 	}
-	return m.runSerial()
-}
-
-func (m *Machine) runSerial() (Result, error) {
+	// replayTo is the horizon of the last aborted round: until the picked
+	// core's clock reaches it, the span replays serially. Speculating
+	// sooner would retry the same conflicting round forever.
+	var replayTo int64
 	// The armed-event queries are cached across quanta: next() depends
 	// only on state the event handlers themselves mutate (checkpoint
 	// schedule and budget in onBoundary/establish, the fault schedule's
@@ -508,6 +499,34 @@ func (m *Machine) runSerial() (Result, error) {
 			continue
 		}
 
+		replaying := horizon < replayTo
+		if e != nil && !replaying {
+			// Round horizon: the next armed event, capped to a span so
+			// conflicts stay quantum-granular in event-free stretches.
+			h := horizon + roundSpanCycles
+			if haveCkpt && ckptTime < h {
+				h = ckptTime
+			}
+			if haveErr && errDetect < h {
+				h = errDetect
+			}
+			if e.collect(h) >= 2 {
+				committed, err := e.round(h)
+				if err != nil {
+					return Result{}, err
+				}
+				if !committed {
+					replayTo = h
+				}
+				if m.steps > m.cfg.MaxSteps {
+					return Result{}, fmt.Errorf("sim: exceeded %d steps (runaway program?)", m.cfg.MaxSteps)
+				}
+				continue
+			}
+			// One movable core: speculation buys nothing.
+			m.schedStats.SerialQuanta++
+		}
+
 		// No event before the horizon: run the quantum. Coalescing first
 		// tries to raise the bound by eagerly retiring peers' core-private
 		// prefixes — capped by the coalescing window and, crucially, by
@@ -515,6 +534,7 @@ func (m *Machine) runSerial() (Result, error) {
 		// checkpoint boundary or an error-detection point. The bound then
 		// shrinks to the next armed event as before, so the event fires
 		// exactly when the minimum clock reaches it.
+		before := m.steps
 		if !m.cfg.noCoalesce && bound != unbounded {
 			ceil := c.Cycles() + coalesceWindow
 			if haveCkpt && ckptTime < ceil {
@@ -537,7 +557,11 @@ func (m *Machine) runSerial() (Result, error) {
 		if haveErr && errDetect < bound {
 			bound = errDetect
 		}
-		if err := m.stepSpan(c, bound); err != nil {
+		err := m.stepSpan(c, bound)
+		if replaying {
+			m.schedStats.ReplayInstrs += m.steps - before
+		}
+		if err != nil {
 			return Result{}, err
 		}
 	}
@@ -581,10 +605,10 @@ const coalesceWindow = 64
 // long register-only stretch cannot monopolise the run loop between picks.
 const maxEagerSteps = 256
 
-// SchedStats summarises the serial engine's dispatch granularity. Like
-// ParallelStats these are engine diagnostics — they are not part of the
-// architectural Result, so Result stays bit-identical with coalescing on
-// or off and across Workers settings.
+// SchedStats summarises the engine's dispatch granularity and what the
+// parallel engine did. These are engine diagnostics — they are not part of
+// the architectural Result, so Result stays bit-identical with coalescing
+// on or off and across Workers settings.
 type SchedStats struct {
 	// Spans counts dispatched quanta; SpanInstrs the instructions retired
 	// per dispatch — the picked core's quantum plus any peer instructions
@@ -602,6 +626,18 @@ type SchedStats struct {
 	// counts empty quanta, bucket i>0 counts lengths in [2^(i-1), 2^i).
 	// The last bucket absorbs overflow.
 	QuantumHist [16]int64
+
+	// Rounds counts speculative rounds attempted (Workers > 1);
+	// Committed and Aborted partition them. SerialQuanta counts quanta
+	// run serially because fewer than two cores were eligible.
+	Rounds       int64
+	Committed    int64
+	Aborted      int64
+	SerialQuanta int64
+	// SpecInstrs counts instructions executed speculatively and committed;
+	// ReplayInstrs counts instructions re-executed serially after aborts.
+	SpecInstrs   int64
+	ReplayInstrs int64
 }
 
 //acr:noalloc
@@ -615,7 +651,7 @@ func (s *SchedStats) note(n int64) {
 	s.QuantumHist[b]++
 }
 
-// SchedStats reports serial-engine dispatch diagnostics for the run so far.
+// SchedStats reports the engine's dispatch diagnostics for the run so far.
 func (m *Machine) SchedStats() SchedStats { return m.schedStats }
 
 // AvgQuantum returns the average quantum length in instructions, 0 before

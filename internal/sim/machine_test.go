@@ -145,7 +145,9 @@ func ckptConfig(t *testing.T, amnesic bool, nCkpts int64) Config {
 	base, _ := baseline(t)
 	cfg := DefaultConfig(tThreads)
 	cfg.Checkpointing = true
-	cfg.Amnesic = amnesic
+	if amnesic {
+		cfg.Strategy = ckpt.KindAmnesic
+	}
 	cfg.PeriodCycles = base.Cycles / (nCkpts + 1)
 	return cfg
 }
@@ -321,7 +323,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("zero period accepted")
 	}
 	c3 := DefaultConfig(1)
-	c3.Amnesic = true // no checkpointing
+	c3.Strategy = ckpt.KindAmnesic // no checkpointing
 	if _, err := New(c3, p); err == nil {
 		t.Error("amnesic without checkpointing accepted")
 	}
@@ -359,14 +361,23 @@ func TestRunawayGuard(t *testing.T) {
 	b.Jmp(top)
 	b.Halt()
 	p := b.MustBuild()
-	cfg := DefaultConfig(1)
-	cfg.MaxSteps = 1000
-	m, err := New(cfg, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(); err == nil {
-		t.Error("infinite loop not caught")
+	// Every core spins, so at Workers 4 the run is all speculative rounds
+	// and the guard must fire on the round path too.
+	for _, tc := range []struct{ cores, workers int }{{1, 1}, {4, 1}, {4, 4}} {
+		cfg := DefaultConfig(tc.cores)
+		cfg.MaxSteps = 1000
+		cfg.Workers = tc.workers
+		m, err := New(cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = m.Run()
+		if err == nil || !strings.Contains(err.Error(), "exceeded 1000 steps") {
+			t.Errorf("%d cores, workers %d: infinite loop not caught (err %v)", tc.cores, tc.workers, err)
+		}
+		if tc.workers > 1 && m.SchedStats().Rounds == 0 {
+			t.Errorf("%d cores, workers %d: no speculative round ran", tc.cores, tc.workers)
+		}
 	}
 }
 

@@ -27,7 +27,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -41,28 +40,6 @@ import (
 // overlay/journal footprint); larger spans amortise round overhead. Rounds
 // never cross a timed event, so the cap only matters between events.
 const roundSpanCycles = 2048
-
-// ParallelStats describes what the parallel engine did during a run. It is
-// deliberately not part of Result: Result must be bit-identical across
-// worker counts, while these counters describe the (non-deterministic-free
-// but result-invariant) execution strategy.
-type ParallelStats struct {
-	// Rounds counts speculative rounds attempted; Committed and Aborted
-	// partition them. SerialQuanta counts quanta run serially because
-	// fewer than two cores were eligible.
-	Rounds       int64
-	Committed    int64
-	Aborted      int64
-	SerialQuanta int64
-	// SpecInstrs counts instructions executed speculatively and committed;
-	// ReplayInstrs counts instructions re-executed serially after aborts.
-	SpecInstrs   int64
-	ReplayInstrs int64
-}
-
-// ParallelStats returns the engine counters of the last Run (zero for
-// serial runs).
-func (m *Machine) ParallelStats() ParallelStats { return m.parStats }
 
 // hookEvent is one deferred checkpoint hook occurrence, recorded during
 // speculation and replayed through the real cpu.Hooks at commit.
@@ -203,9 +180,23 @@ func (e *parallelEngine) SpecAssoc(core int, cycle int64, pc int, addr int64, re
 	return 0
 }
 
-// round runs one speculative round to horizon h: dispatch, conflict check,
-// then commit, or roll back and replay serially.
-func (e *parallelEngine) round(h int64) error {
+// collect gathers the cores eligible for a round to horizon h — every
+// running core whose clock is below h — and returns how many there are.
+func (e *parallelEngine) collect(h int64) int {
+	e.eligible = e.eligible[:0]
+	for _, c := range e.m.cores {
+		if c.State == cpu.Running && c.Cycles() < h {
+			e.eligible = append(e.eligible, c.ID)
+		}
+	}
+	return len(e.eligible)
+}
+
+// round runs one speculative round over the collected cores to horizon h:
+// dispatch, conflict check, then commit or roll back. It reports whether
+// the round committed; after an abort the machine is exactly at the round
+// start and the caller replays the span serially.
+func (e *parallelEngine) round(h int64) (bool, error) {
 	m := e.m
 	e.roundH = h
 	for _, id := range e.eligible {
@@ -218,7 +209,7 @@ func (e *parallelEngine) round(h int64) error {
 		e.events[id] = e.events[id][:0]
 		e.panics[id] = nil
 	}
-	m.parStats.Rounds++
+	m.schedStats.Rounds++
 	for _, id := range e.eligible {
 		e.jobs <- id
 	}
@@ -237,9 +228,9 @@ func (e *parallelEngine) round(h int64) error {
 	}
 	if !ok {
 		e.abort()
-		return m.serialSpan(h)
+		return false, nil
 	}
-	return e.commit()
+	return true, e.commit()
 }
 
 // conflicts reports whether any line written by one quantum was touched by
@@ -331,9 +322,9 @@ func (e *parallelEngine) commit() error {
 		m.sched.noteClock(c.Cycles())
 		d := c.Instrs - e.snaps[id].SavedInstrs()
 		m.steps += d
-		m.parStats.SpecInstrs += d
+		m.schedStats.SpecInstrs += d
 	}
-	m.parStats.Committed++
+	m.schedStats.Committed++
 	// The committed quanta moved many cores' clocks at once.
 	m.sched.clocksMoved()
 	return nil
@@ -351,120 +342,7 @@ func (e *parallelEngine) abort() {
 			m.tracker.AbortSpec(id)
 		}
 	}
-	m.parStats.Aborted++
+	m.schedStats.Aborted++
 	// The roll-back rewound clocks the heap had already ordered.
 	m.sched.clocksMoved()
-}
-
-// serialSpan re-executes an aborted round's span through the serial
-// scheduler until every running core has reached h (or the machine blocks
-// or halts). No timed event can fire inside the span — h never exceeds the
-// next armed event — but barrier releases can, exactly as in the serial
-// loop. A panic the speculative round captured re-raises here, on the
-// machine's goroutine, at the same instruction.
-func (m *Machine) serialSpan(h int64) error {
-	before := m.steps
-	defer func() { m.parStats.ReplayInstrs += m.steps - before }()
-	for {
-		if m.sched.halted() == len(m.cores) {
-			return nil
-		}
-		if m.sched.running() == 0 {
-			if m.sched.atBarrier() > 0 {
-				m.releaseBarrier()
-				continue
-			}
-			return errors.New("sim: no runnable cores (scheduling bug)")
-		}
-		c, bound := m.sched.pick()
-		if c.Cycles() >= h {
-			return nil
-		}
-		if bound > h {
-			bound = h
-		}
-		if err := m.stepSpan(c, bound); err != nil {
-			return err
-		}
-	}
-}
-
-// runParallel is the parallel counterpart of runSerial. Event handling,
-// termination and the single-core fast path are byte-for-byte the serial
-// logic; only event-free multi-core stretches run as speculative rounds.
-func (m *Machine) runParallel() (Result, error) {
-	e := newParallelEngine(m)
-	defer e.shutdown()
-	for {
-		if m.sched.halted() == len(m.cores) {
-			break
-		}
-		if m.sched.running() == 0 {
-			if m.sched.atBarrier() > 0 {
-				m.releaseBarrier()
-				continue
-			}
-			return Result{}, errors.New("sim: no runnable cores (scheduling bug)")
-		}
-
-		c, bound := m.sched.pick()
-		horizon := c.Cycles()
-
-		// Timed events up to the horizon, in timestamp order (identical
-		// to runSerial).
-		ckptTime, haveCkpt := m.coord.next()
-		haveCkpt = haveCkpt && ckptTime <= horizon
-		errOccur, errDetect, haveErr := m.recov.next()
-		haveErr = haveErr && errDetect <= horizon
-		switch {
-		case haveCkpt && (!haveErr || ckptTime <= errDetect):
-			m.coord.onBoundary()
-			continue
-		case haveErr:
-			if err := m.recov.recover(errOccur, errDetect); err != nil {
-				return Result{}, err
-			}
-			continue
-		}
-
-		// Round horizon: the next armed event, capped to a span so
-		// conflicts stay quantum-granular in event-free stretches.
-		h := horizon + roundSpanCycles
-		if t, ok := m.coord.next(); ok && t < h {
-			h = t
-		}
-		if _, detect, ok := m.recov.next(); ok && detect < h {
-			h = detect
-		}
-		e.eligible = e.eligible[:0]
-		for _, cc := range m.cores {
-			if cc.State == cpu.Running && cc.Cycles() < h {
-				e.eligible = append(e.eligible, cc.ID)
-			}
-		}
-
-		if len(e.eligible) < 2 {
-			// One movable core: speculation buys nothing. Run the serial
-			// quantum verbatim.
-			if t, ok := m.coord.next(); ok && t < bound {
-				bound = t
-			}
-			if _, detect, ok := m.recov.next(); ok && detect < bound {
-				bound = detect
-			}
-			if err := m.stepSpan(c, bound); err != nil {
-				return Result{}, err
-			}
-			m.parStats.SerialQuanta++
-			continue
-		}
-
-		if err := e.round(h); err != nil {
-			return Result{}, err
-		}
-		if m.steps > m.cfg.MaxSteps {
-			return Result{}, fmt.Errorf("sim: exceeded %d steps (runaway program?)", m.cfg.MaxSteps)
-		}
-	}
-	return m.result(), nil
 }

@@ -13,7 +13,7 @@ import (
 
 // runWorkers runs p under cfg with the given worker count and returns the
 // result, the final data-memory image and the engine counters.
-func runWorkers(t *testing.T, cfg Config, p *prog.Program, workers int) (Result, []int64, ParallelStats) {
+func runWorkers(t *testing.T, cfg Config, p *prog.Program, workers int) (Result, []int64, SchedStats) {
 	t.Helper()
 	cfg.Workers = workers
 	m, err := New(cfg, p)
@@ -24,7 +24,7 @@ func runWorkers(t *testing.T, cfg Config, p *prog.Program, workers int) (Result,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, memWords(m, p.DataWords), m.ParallelStats()
+	return res, memWords(m, p.DataWords), m.SchedStats()
 }
 
 // checkBitIdentical asserts a parallel run reproduced the serial oracle
@@ -73,7 +73,9 @@ func TestParallelBitIdentityFuzz(t *testing.T) {
 			ref, refMem, _ := runWorkers(t, cfg, p, 1)
 			_ = refMem
 			cfg.Checkpointing = true
-			cfg.Amnesic = mode >= 2
+			if mode >= 2 {
+				cfg.Strategy = ckpt.KindAmnesic
+			}
 			if mode == 3 {
 				cfg.Mode = ckpt.Local
 			}
@@ -216,7 +218,9 @@ func ckptConfigFor(t *testing.T, p *prog.Program, cores int, amnesic, local bool
 	ref, _, _ := runWorkers(t, DefaultConfig(cores), p, 1)
 	cfg := DefaultConfig(cores)
 	cfg.Checkpointing = true
-	cfg.Amnesic = amnesic
+	if amnesic {
+		cfg.Strategy = ckpt.KindAmnesic
+	}
 	if local {
 		cfg.Mode = ckpt.Local
 	}

@@ -44,7 +44,7 @@ func TestLegacyLimitLifted(t *testing.T) {
 
 	cfg := base
 	cfg.Checkpointing = true
-	cfg.Amnesic = true
+	cfg.Strategy = ckpt.KindAmnesic
 	cfg.PeriodCycles = ref.Cycles / 3
 	m, err := New(cfg, p)
 	if err != nil {

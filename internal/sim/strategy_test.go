@@ -63,36 +63,6 @@ func strategyConfig(t *testing.T, kind ckpt.Kind, nCkpts int64) Config {
 	return cfg
 }
 
-// TestStrategyLegacyBitIdentity pins the refactor's core contract: the
-// legacy boolean configuration (Checkpointing / Amnesic) and the explicit
-// strategy spelling produce bit-identical runs.
-func TestStrategyLegacyBitIdentity(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		amnesic bool
-		kind    ckpt.Kind
-	}{
-		{"full", false, ckpt.KindFull},
-		{"amnesic", true, ckpt.KindAmnesic},
-	} {
-		legacy := ckptConfig(t, tc.amnesic, tCkpts)
-		explicit := ckptConfig(t, false, tCkpts)
-		explicit.Amnesic = false
-		explicit.Strategy = tc.kind
-
-		lr, lm := runCfg(t, legacy)
-		er, em := runCfg(t, explicit)
-		if lr.Cycles != er.Cycles || lr.EnergyPJ != er.EnergyPJ ||
-			lr.Ckpt != er.Ckpt || lr.Instrs != er.Instrs || lr.AddrMap != er.AddrMap {
-			t.Errorf("%s: legacy and explicit strategy configs diverge:\n%+v\n%+v", tc.name, lr, er)
-		}
-		if lr.Strategy != er.Strategy || er.Strategy != tc.kind.String() {
-			t.Errorf("%s: Result.Strategy = %q / %q, want %q", tc.name, lr.Strategy, er.Strategy, tc.kind)
-		}
-		checkSameMem(t, em, lm, tc.name)
-	}
-}
-
 // TestStrategyRecoveryInvisible extends the repository's core property to
 // every strategy: with errors injected, the final memory image must be
 // bit-identical to the error-free uncheckpointed run.
@@ -281,9 +251,6 @@ func TestStrategyConfigValidation(t *testing.T) {
 	}
 	if err := build(func(c *Config) { c.Strategy = ckpt.KindTiered; c.Mode = ckpt.Local }); err == nil {
 		t.Error("tiered + Local must be rejected (global-only strategy)")
-	}
-	if err := build(func(c *Config) { c.Strategy = ckpt.KindDifferential; c.Amnesic = true }); err == nil {
-		t.Error("differential + Amnesic must be rejected (no log to omit from)")
 	}
 	if err := build(func(c *Config) { c.Strategy = ckpt.KindTiered; c.Checkpointing = false; c.PeriodCycles = 0 }); err == nil {
 		t.Error("a non-default strategy without checkpointing must be rejected")

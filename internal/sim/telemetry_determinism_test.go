@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"acr/internal/ckpt"
 	acr "acr/internal/core"
 	"acr/internal/fault"
 	"acr/internal/sim"
@@ -46,7 +47,7 @@ func telemetryTestRun(t *testing.T, obs ...sim.Observer) (sim.Result, []int64) {
 	}
 	cfg := sim.DefaultConfig(threads)
 	cfg.Checkpointing = true
-	cfg.Amnesic = true
+	cfg.Strategy = ckpt.KindAmnesic
 	cfg.ACR = acr.Config{Threshold: bench.Threshold, MapCapacity: 4096 * threads}
 	cfg.PeriodCycles = base.Cycles / 4
 	cfg.Errors = fault.Uniform(1, base.Cycles, cfg.PeriodCycles/2)

@@ -9,7 +9,7 @@ import (
 
 // The //acr: annotation grammar. A directive is a comment of the form
 //
-//	//acr:name [freeform reason or argument]
+//	//acr:name [freeform reason]
 //
 // written like a compiler directive (no space after //, so gofmt preserves
 // it). Placement decides meaning:
@@ -23,8 +23,6 @@ import (
 //	                         speculative round
 //	//acr:observer           interface type doc — implementations' interface
 //	                         methods are checked side-effect-free
-//	//acr:memo-spec M        struct type doc — memo-key completeness is
-//	                         checked against canonicaliser method M
 //	//acr:memo-key           struct type doc — struct must be a pure value
 //	                         (deep comparability, no reference identity)
 //	//acr:memo-cache         struct type doc — exported fields must be
@@ -42,7 +40,7 @@ import (
 //	                         spec-safe function, justified
 //
 // The hygiene analyzer validates exactly this table: unknown names,
-// misplaced directives and missing arguments are diagnostics.
+// and misplaced directives are diagnostics.
 const directivePrefix = "//acr:"
 
 // Placement describes where a directive may legally appear.
@@ -57,30 +55,25 @@ const (
 	OnLine
 )
 
-// directives is the registry of known annotation names. needsArg marks
-// directives whose argument is load-bearing rather than a free-form reason.
-var directives = map[string]struct {
-	where    Placement
-	needsArg bool
-}{
-	"deterministic": {where: OnPackage},
-	"noalloc":       {where: OnFunc},
-	"spec-safe":     {where: OnFunc | OnType},
-	"observer":      {where: OnType},
-	"memo-spec":     {where: OnType, needsArg: true},
-	"memo-key":      {where: OnType},
-	"memo-cache":    {where: OnType},
-	"memo-exempt":   {where: OnField},
-	"wallclock-ok":  {where: OnFunc | OnLine},
-	"maporder-ok":   {where: OnFunc | OnLine},
-	"alloc-ok":      {where: OnLine},
-	"spec-ok":       {where: OnLine},
+// directives is the registry of known annotation names and where each may
+// appear.
+var directives = map[string]Placement{
+	"deterministic": OnPackage,
+	"noalloc":       OnFunc,
+	"spec-safe":     OnFunc | OnType,
+	"observer":      OnType,
+	"memo-key":      OnType,
+	"memo-cache":    OnType,
+	"memo-exempt":   OnField,
+	"wallclock-ok":  OnFunc | OnLine,
+	"maporder-ok":   OnFunc | OnLine,
+	"alloc-ok":      OnLine,
+	"spec-ok":       OnLine,
 }
 
 // Annotation is one parsed //acr: directive.
 type Annotation struct {
 	Name string // directive name ("noalloc")
-	Arg  string // remainder after the name, trimmed
 	Pos  token.Pos
 	At   Placement // where it was found (a single bit)
 }
@@ -110,8 +103,8 @@ func parseDirective(c *ast.Comment) (Annotation, bool) {
 	if !ok {
 		return Annotation{}, false
 	}
-	name, arg, _ := strings.Cut(rest, " ")
-	return Annotation{Name: name, Arg: strings.TrimSpace(arg), Pos: c.Pos()}, true
+	name, _, _ := strings.Cut(rest, " ")
+	return Annotation{Name: name, Pos: c.Pos()}, true
 }
 
 func groupDirectives(g *ast.CommentGroup) []Annotation {

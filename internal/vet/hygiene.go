@@ -8,8 +8,8 @@ import (
 
 // HygieneAnalyzer validates the //acr: annotation grammar itself, so the
 // rest of the suite can trust what it reads: unknown directive names,
-// directives in positions where they have no meaning, missing load-bearing
-// arguments, duplicates on one target, and near-miss spellings ("// acr:"
+// directives in positions where they have no meaning, duplicates on one
+// target, and near-miss spellings ("// acr:"
 // with a space is an ordinary comment and silently does nothing — the most
 // dangerous typo an invariant annotation can have).
 var HygieneAnalyzer = &Analyzer{
@@ -30,20 +30,16 @@ func runHygiene(prog *Program) []Diagnostic {
 	}
 	seen := make(map[targetKey]bool)
 	for _, p := range prog.Ann.all {
-		d, known := directives[p.Name]
+		where, known := directives[p.Name]
 		if p.Name == "" || !known {
 			diags = append(diags, diag(prog, "annotations", p.Pos,
 				"unknown //acr: directive %q (known: %s)", p.Name, knownDirectives()))
 			continue
 		}
-		if p.At&d.where == 0 {
+		if p.At&where == 0 {
 			diags = append(diags, diag(prog, "annotations", p.Pos,
-				"//acr:%s is meaningless %s; it belongs %s", p.Name, placementName(p.At), placementList(d.where)))
+				"//acr:%s is meaningless %s; it belongs %s", p.Name, placementName(p.At), placementList(where)))
 			continue
-		}
-		if d.needsArg && p.Arg == "" {
-			diags = append(diags, diag(prog, "annotations", p.Pos,
-				"//acr:%s requires an argument", p.Name))
 		}
 		key := targetKey{target: p.target, pkg: p.pkg.Path, at: p.At, name: p.Name}
 		if p.At == OnLine {
@@ -90,7 +86,7 @@ func placementChecks(prog *Program, p placed) []Diagnostic {
 					"//acr:%s on type %s: only interface types take this directive", p.Name, tn.Name()))
 			}
 		}
-	case "memo-spec", "memo-key", "memo-cache":
+	case "memo-key", "memo-cache":
 		if tn, ok := p.target.(*types.TypeName); ok {
 			if _, isStruct := tn.Type().Underlying().(*types.Struct); !isStruct {
 				diags = append(diags, diag(prog, "annotations", p.Pos,

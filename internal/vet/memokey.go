@@ -1,9 +1,6 @@
 package vet
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/types"
 
 // MemoKeyAnalyzer mechanizes the memoisation-key completeness rules the
 // bench cache depends on (the PR 5 SimWorkers precedent): a configuration
@@ -12,24 +9,20 @@ import (
 // cache (two spellings of one configuration) or poison it (one cell served
 // for two genuinely different configurations).
 //
-// Three annotations drive it:
+// Two annotations drive it:
 //
 //   - //acr:memo-key on the key struct: every field, recursively, must be
 //     a pure value — basic types, arrays and structs of them. A pointer,
 //     slice, map, interface, chan or func field compares by reference
 //     identity, so semantically equal keys would miss (split) the cache.
-//   - //acr:memo-spec M on the configuration struct: every field must be
-//     inside the key — embedded wholesale in a //acr:memo-key struct,
-//     mirrored there by name and type, or read by the canonicaliser method
-//     M — or carry //acr:memo-exempt. An exempt field must additionally be
-//     assigned in M: canonicalisation is what guarantees an
-//     outside-the-key field cannot split the cache.
+//     A configuration struct embedded in the key is walked with it, so
+//     every configuration field is keyed.
 //   - //acr:memo-cache on the struct owning the cache: every exported
 //     field (a driver knob) must be //acr:memo-exempt, the reviewed
 //     declaration that the knob provably does not change results.
 var MemoKeyAnalyzer = &Analyzer{
 	Name: "memokey",
-	Doc:  "prove memo-key completeness for //acr:memo-spec, //acr:memo-key and //acr:memo-cache structs",
+	Doc:  "prove memo-key purity for //acr:memo-key structs and declared knobs on //acr:memo-cache structs",
 	Run:  runMemoKey,
 }
 
@@ -40,9 +33,6 @@ func runMemoKey(prog *Program) []Diagnostic {
 	}
 	for _, tn := range prog.Ann.AnnotatedTypes(prog, "memo-cache") {
 		diags = append(diags, memoCacheFields(prog, tn)...)
-	}
-	for _, tn := range prog.Ann.AnnotatedTypes(prog, "memo-spec") {
-		diags = append(diags, memoSpecFields(prog, tn)...)
 	}
 	return diags
 }
@@ -131,125 +121,4 @@ func memoCacheFields(prog *Program, tn *types.TypeName) []Diagnostic {
 		}
 	}
 	return diags
-}
-
-// memoSpecFields checks the configuration struct against its canonicaliser
-// and the key structs of the same package.
-func memoSpecFields(prog *Program, tn *types.TypeName) []Diagnostic {
-	ann, _ := prog.Ann.TypeAnn(tn, "memo-spec")
-	st, ok := tn.Type().Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	var diags []Diagnostic
-	canonName := ann.Arg
-	reads, writes, haveCanon := canonicaliserFieldUse(prog, tn, canonName)
-	if !haveCanon && canonName != "" {
-		diags = append(diags, diag(prog, "memokey", ann.Pos,
-			"//acr:memo-spec names canonicaliser %s, but %s has no such method", canonName, tn.Name()))
-	}
-
-	// Key coverage: is the spec embedded (by value) in a memo-key struct,
-	// and which key fields mirror spec fields by name?
-	embedded := false
-	keyFields := make(map[string]types.Type)
-	for _, keyTN := range prog.Ann.AnnotatedTypes(prog, "memo-key") {
-		if keyTN.Pkg() != tn.Pkg() {
-			continue
-		}
-		kst, ok := keyTN.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < kst.NumFields(); i++ {
-			f := kst.Field(i)
-			if types.Identical(f.Type(), tn.Type()) {
-				embedded = true
-			}
-			keyFields[f.Name()] = f.Type()
-		}
-	}
-
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if prog.Ann.FieldHas(f, "memo-exempt") {
-			if haveCanon && !writes[f.Name()] {
-				diags = append(diags, diag(prog, "memokey", f.Pos(),
-					"%s.%s is //acr:memo-exempt but %s never canonicalises it: two spellings of one configuration would split the cache",
-					tn.Name(), f.Name(), canonName))
-			}
-			continue
-		}
-		inKey := embedded || reads[f.Name()]
-		if !inKey {
-			if kt, ok := keyFields[f.Name()]; ok && types.Identical(kt, f.Type()) {
-				inKey = true
-			}
-		}
-		if !inKey {
-			diags = append(diags, diag(prog, "memokey", f.Pos(),
-				"%s.%s reaches neither the memo key nor canonicaliser %s: a run keyed without it poisons the cache (add it to the key or annotate //acr:memo-exempt)",
-				tn.Name(), f.Name(), canonName))
-		}
-	}
-	return diags
-}
-
-// canonicaliserFieldUse returns the spec fields read and assigned in the
-// canonicaliser method's body.
-func canonicaliserFieldUse(prog *Program, tn *types.TypeName, method string) (reads, writes map[string]bool, found bool) {
-	reads, writes = make(map[string]bool), make(map[string]bool)
-	if method == "" {
-		return reads, writes, false
-	}
-	obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(tn.Type()), true, tn.Pkg(), method)
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return reads, writes, false
-	}
-	fd, pkg := prog.Decl(fn)
-	if fd == nil || fd.Body == nil {
-		return reads, writes, false
-	}
-	specFields := make(map[*types.Var]bool)
-	if st, ok := tn.Type().Underlying().(*types.Struct); ok {
-		for i := 0; i < st.NumFields(); i++ {
-			specFields[st.Field(i)] = true
-		}
-	}
-	mark := func(e ast.Expr, m map[string]bool) {
-		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-		if !ok {
-			return
-		}
-		if v, ok := useObj(pkg, sel.Sel).(*types.Var); ok && specFields[v] {
-			m[v.Name()] = true
-		}
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				mark(lhs, writes)
-			}
-			for _, rhs := range n.Rhs {
-				markReads(pkg, rhs, specFields, reads)
-			}
-		case *ast.SelectorExpr:
-			mark(n, reads)
-		}
-		return true
-	})
-	return reads, writes, true
-}
-
-func markReads(pkg *Package, e ast.Expr, specFields map[*types.Var]bool, reads map[string]bool) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			if v, ok := useObj(pkg, sel.Sel).(*types.Var); ok && specFields[v] {
-				reads[v.Name()] = true
-			}
-		}
-		return true
-	})
 }

@@ -1,7 +1,6 @@
 // Package hygiene is an acrvet fixture for the annotation-grammar checks:
-// unknown names, misplaced directives, missing load-bearing arguments,
-// duplicates, directive-specific target constraints and the spaced-prefix
-// near-miss.
+// unknown names, misplaced directives, duplicates, directive-specific
+// target constraints and the spaced-prefix near-miss.
 package hygiene
 
 // Unknown carries a directive the registry does not know.
@@ -17,13 +16,6 @@ func Unknown() {}
 //
 //acr:deterministic
 func Misplaced() {}
-
-// NoArg omits the load-bearing canonicaliser argument.
-//
-// want-next "//acr:memo-spec requires an argument"
-//
-//acr:memo-spec
-type NoArg struct{ N int }
 
 // Duplicated carries the same directive twice.
 //

@@ -1,10 +1,7 @@
 // Package memokey is an acrvet fixture for memo-key completeness: a key
-// struct with reference-identity fields, a spec whose fields variously
-// reach (or miss) the key and its canonicaliser, and a cache owner with an
+// struct with reference-identity fields and a cache owner with an
 // undeclared knob.
 package memokey
-
-import "strings"
 
 // Key is the memo key: it must be a pure value, deeply comparable with no
 // reference identity.
@@ -22,42 +19,6 @@ type Key struct {
 type inner struct {
 	scale float64
 	ptr   *int64
-}
-
-// Spec is the configuration struct; normalized is its canonicaliser.
-//
-//acr:memo-spec normalized
-type Spec struct {
-	Name    string // read by normalized
-	Workers int    // mirrored in Key by name and type
-	Seed    int64  // read by normalized
-	Debug   bool   // want "Spec.Debug reaches neither the memo key nor canonicaliser normalized"
-	// Verbose claims exemption but is never canonicalised, so two
-	// spellings of one configuration would split the cache.
-	//
-	//acr:memo-exempt
-	Verbose bool // want "Spec.Verbose is //acr:memo-exempt but normalized never canonicalises it"
-	// LogPath is exempt and zeroed by the canonicaliser: the clean shape.
-	//
-	//acr:memo-exempt
-	LogPath string
-}
-
-func (s Spec) normalized() Spec {
-	n := s
-	n.Name = strings.TrimSpace(s.Name)
-	n.Seed = s.Seed & 0xffff
-	n.LogPath = ""
-	return n
-}
-
-// Broken names a canonicaliser that does not exist.
-//
-// want-next "names canonicaliser canonical, but Broken has no such method"
-//
-//acr:memo-spec canonical
-type Broken struct {
-	N int // want "Broken.N reaches neither the memo key nor canonicaliser canonical"
 }
 
 // Cache owns the memo table; exported fields are driver knobs and must be

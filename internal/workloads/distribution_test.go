@@ -3,6 +3,7 @@ package workloads
 import (
 	"testing"
 
+	"acr/internal/ckpt"
 	acr "acr/internal/core"
 	"acr/internal/sim"
 )
@@ -31,7 +32,7 @@ func measureReduction(t *testing.T, name string, threshold int) float64 {
 	}
 	cfg := sim.DefaultConfig(4)
 	cfg.Checkpointing = true
-	cfg.Amnesic = true
+	cfg.Strategy = ckpt.KindAmnesic
 	cfg.ACR = acr.Config{Threshold: threshold, MapCapacity: 4096 * 4}
 	cfg.PeriodCycles = baseRes.Cycles / 7
 	cfg.ROIStartCycles = int64(float64(baseRes.Cycles) * bench.WarmupFrac)
