@@ -40,7 +40,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -49,7 +48,6 @@ import (
 	"acr/internal/bench"
 	"acr/internal/obsrv"
 	"acr/internal/stats"
-	"acr/internal/telemetry"
 	"acr/internal/workloads"
 )
 
@@ -65,7 +63,6 @@ func main() {
 	stratCores := flag.String("strategy-cores", "4,8", "core counts for -exp strategies (comma separated)")
 	stratErrors := flag.Int("strategy-errors", 1, "injected errors in the _E cells of -exp strategies")
 	stratJSON := flag.String("strategy-json", "", "write the strategy matrix as JSON to this file")
-	metricsDir := flag.String("metrics-dir", "", "write driver metrics (driver.prom, driver.json) into this directory")
 	serveAddr := flag.String("serve", "", "serve the HTTP observatory (/metrics, /runs, /debug/pprof) on this address (e.g. localhost:6060, :0)")
 	journalPath := flag.String("journal", "", "append the run registry's JSONL journal to this file (requires -serve)")
 	linger := flag.Duration("linger", 0, "keep the observatory serving this long after the sweep finishes")
@@ -201,11 +198,6 @@ func main() {
 	if *verbose {
 		reportJobs(r.Reports(), elapsed)
 	}
-	if *metricsDir != "" {
-		if err := writeDriverMetrics(*metricsDir, r.Reports(), elapsed, *exp, p); err != nil {
-			fatal(err)
-		}
-	}
 	if registry != nil && *linger > 0 {
 		fmt.Fprintf(os.Stderr, "acrbench: sweep done, observatory lingering for %v\n", *linger)
 		time.Sleep(*linger)
@@ -242,56 +234,6 @@ func reportJobs(reports []bench.JobReport, elapsed time.Duration) {
 	fmt.Printf("\n%d jobs (%d shared via memoisation), simulated %.2fs of host work in %.2fs elapsed (%.2fx)\n",
 		len(reports), shared, simWall.Seconds(), elapsed.Seconds(),
 		simWall.Seconds()/elapsed.Seconds())
-}
-
-// writeDriverMetrics exports the driver's own execution profile — not
-// simulated results — as driver.prom and driver.json under dir.
-func writeDriverMetrics(dir string, reports []bench.JobReport, elapsed time.Duration, exp string, p bench.Params) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	reg := telemetry.NewRegistry()
-	jobsTotal := reg.Counter("acrbench_jobs_total",
-		"RunAll jobs executed by the driver.", "shared")
-	wallTotal := reg.Counter("acrbench_job_wall_seconds_total",
-		"Host wall time inside simulation calls, per benchmark.", "bench")
-	wallHist := reg.Histogram("acrbench_job_wall_seconds",
-		"Per-job host wall time.", []float64{0.001, 0.01, 0.1, 1, 10, 60})
-	queueHist := reg.Histogram("acrbench_job_queue_wait_seconds",
-		"Per-job queue wait before a worker picked it up.", []float64{0.001, 0.01, 0.1, 1, 10, 60})
-	for _, rep := range reports {
-		jobsTotal.With(fmt.Sprintf("%v", rep.Shared)).Add(1)
-		wallTotal.With(rep.Job.Bench).Add(rep.Wall.Seconds())
-		wallHist.Observe(rep.Wall.Seconds())
-		queueHist.Observe(rep.QueueWait.Seconds())
-	}
-	reg.Gauge("acrbench_elapsed_seconds", "Driver wall time.").Set(elapsed.Seconds())
-
-	pf, err := os.Create(filepath.Join(dir, "driver.prom"))
-	if err != nil {
-		return err
-	}
-	if err := reg.WritePrometheus(pf); err != nil {
-		pf.Close()
-		return err
-	}
-	if err := pf.Close(); err != nil {
-		return err
-	}
-	meta := map[string]string{
-		"exp":     exp,
-		"class":   p.Class.Name,
-		"threads": strconv.Itoa(p.Threads),
-	}
-	jf, err := os.Create(filepath.Join(dir, "driver.json"))
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WriteProfile(jf, meta, reg); err != nil {
-		jf.Close()
-		return err
-	}
-	return jf.Close()
 }
 
 func splitList(s string) []string {

@@ -1,26 +1,21 @@
-// Command acrreport joins two benchmark or telemetry artifacts and emits a
-// per-metric delta table with regression gating: exit status 1 when any
-// metric crossed the threshold in its worse direction. It turns BENCH_N
-// trajectory checks — and metrics/profile drift checks — into a CI tool
-// instead of eyeballing.
+// Command acrreport joins two sets of run profiles and emits a per-metric
+// delta table with regression gating: exit status 1 when any metric drifted
+// beyond the threshold or exists on only one side. It turns profile drift
+// checks into a CI tool instead of eyeballing.
 //
 // Usage:
 //
-//	acrreport [-threshold 0.05] [-metrics allocs_per_op,instrs]
+//	acrreport [-threshold 0.05] [-metrics acr_sim_checkpoints_total,...]
 //	          [-json] [-require-match] OLD NEW
 //
-// OLD and NEW are either two BENCH_*.json documents (rows join on name,
-// fields compare under their improvement direction: ns_per_op up is a
-// regression, sim_mips down is, instrs any drift), or two run-profile JSON
-// files / directories of them (profiles join on canonicalised meta, any
-// drift beyond the threshold regresses — the simulator is deterministic).
+// OLD and NEW are run-profile JSON files (acrsim -profile) or directories of
+// them. Profiles join on their canonicalised meta, and any drift beyond the
+// threshold regresses — the simulator is deterministic.
 //
-//	acrreport -metrics allocs_per_op,instrs -threshold 0.5 BENCH_6.json /tmp/bench.json
-//	acrreport -threshold 0 profiles_before/ profiles_after/
+//	acrreport -threshold 0 -require-match profiles_before/ profiles_after/
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,7 +26,7 @@ import (
 
 func main() {
 	threshold := flag.Float64("threshold", 0.05, "relative regression threshold (0.05 = 5%)")
-	metrics := flag.String("metrics", "", "comma-separated metric (bench field / family) allowlist; empty = all")
+	metrics := flag.String("metrics", "", "comma-separated metric family allowlist; empty = all")
 	asJSON := flag.Bool("json", false, "emit the report as JSON instead of a table")
 	requireMatch := flag.Bool("require-match", false, "count unmatched join keys as regressions")
 	flag.Parse()
@@ -41,7 +36,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	oldPath, newPath := flag.Arg(0), flag.Arg(1)
 
 	opt := report.Options{Threshold: *threshold, RequireMatch: *requireMatch}
 	for _, m := range strings.Split(*metrics, ",") {
@@ -50,41 +44,15 @@ func main() {
 		}
 	}
 
-	oldKind, err := detect(oldPath)
+	oldSet, err := report.LoadProfiles(flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
-	newKind, err := detect(newPath)
+	newSet, err := report.LoadProfiles(flag.Arg(1))
 	if err != nil {
 		fatal(err)
 	}
-	if oldKind != newKind {
-		fatal(fmt.Errorf("artifact kinds differ: %s is %s, %s is %s", oldPath, oldKind, newPath, newKind))
-	}
-
-	var rep *report.Report
-	switch oldKind {
-	case "bench":
-		oldDoc, err := report.LoadBench(oldPath)
-		if err != nil {
-			fatal(err)
-		}
-		newDoc, err := report.LoadBench(newPath)
-		if err != nil {
-			fatal(err)
-		}
-		rep = report.DiffBench(oldDoc, newDoc, opt)
-	case "profiles":
-		oldSet, err := report.LoadProfiles(oldPath)
-		if err != nil {
-			fatal(err)
-		}
-		newSet, err := report.LoadProfiles(newPath)
-		if err != nil {
-			fatal(err)
-		}
-		rep = report.DiffProfiles(oldSet, newSet, opt)
-	}
+	rep := report.DiffProfiles(oldSet, newSet, opt)
 
 	if *asJSON {
 		err = rep.RenderJSON(os.Stdout)
@@ -97,37 +65,6 @@ func main() {
 	if rep.Regressions > 0 {
 		os.Exit(1)
 	}
-}
-
-// detect classifies an artifact path: directories are profile sets, files
-// are sniffed for the BENCH "results" array vs the profile "families"
-// array.
-func detect(path string) (string, error) {
-	info, err := os.Stat(path)
-	if err != nil {
-		return "", err
-	}
-	if info.IsDir() {
-		return "profiles", nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	var probe struct {
-		Results  []json.RawMessage `json:"results"`
-		Families []json.RawMessage `json:"families"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return "", fmt.Errorf("%s: %w", path, err)
-	}
-	switch {
-	case len(probe.Results) > 0:
-		return "bench", nil
-	case len(probe.Families) > 0:
-		return "profiles", nil
-	}
-	return "", fmt.Errorf("%s: neither a BENCH_*.json document (results) nor a run profile (families)", path)
 }
 
 func fatal(err error) {

@@ -63,11 +63,7 @@ func LoadProfiles(path string) (*ProfileSet, error) {
 
 // metaKey canonicalises a profile's meta map: sorted k=v pairs.
 func metaKey(meta map[string]string) string {
-	keys := make([]string, 0, len(meta))
-	for k := range meta {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedKeys(meta)
 	parts := make([]string, len(keys))
 	for i, k := range keys {
 		parts[i] = k + "=" + meta[k]
@@ -121,33 +117,32 @@ func familyOf(id string) string {
 }
 
 // DiffProfiles compares two profile sets. Simulated telemetry is
-// deterministic, so every metric uses AnyChange: drift in either direction
-// beyond the threshold regresses.
+// deterministic, so drift in either direction beyond the threshold
+// regresses, and a sample id present on only one side of a matched profile
+// (a family or series that appeared or vanished) always does.
 func DiffProfiles(oldSet, newSet *ProfileSet, opt Options) *Report {
-	r := &Report{Mode: "profiles", Threshold: opt.Threshold}
-	keys := make([]string, 0, len(oldSet.Samples))
-	for key := range oldSet.Samples {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
+	r := &Report{Threshold: opt.Threshold}
+	for _, key := range sortedKeys(oldSet.Samples) {
 		oldSamples := oldSet.Samples[key]
 		newSamples, ok := newSet.Samples[key]
 		if !ok {
 			r.OnlyOld = append(r.OnlyOld, key)
 			continue
 		}
-		ids := make([]string, 0, len(oldSamples))
-		for id := range oldSamples {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			newV, ok := newSamples[id]
-			if !ok || !opt.wants(familyOf(id)) {
+		for _, id := range sortedKeys(oldSamples, newSamples) {
+			if !opt.wants(familyOf(id)) {
 				continue
 			}
-			r.Rows = append(r.Rows, compare(key, id, oldSamples[id], newV, AnyChange, opt.Threshold))
+			oldV, inOld := oldSamples[id]
+			newV, inNew := newSamples[id]
+			switch {
+			case !inNew:
+				r.Rows = append(r.Rows, Row{Key: key, Metric: id, Old: oldV, OnlyIn: "old", Regressed: true})
+			case !inOld:
+				r.Rows = append(r.Rows, Row{Key: key, Metric: id, New: newV, OnlyIn: "new", Regressed: true})
+			default:
+				r.Rows = append(r.Rows, compare(key, id, oldV, newV, opt.Threshold))
+			}
 		}
 	}
 	for key := range newSet.Samples {
@@ -157,4 +152,20 @@ func DiffProfiles(oldSet, newSet *ProfileSet, opt Options) *Report {
 	}
 	r.finish(opt)
 	return r
+}
+
+// sortedKeys returns the union of the maps' keys, sorted.
+func sortedKeys[V any](maps ...map[string]V) []string {
+	seen := make(map[string]bool)
+	var keys []string
+	for _, m := range maps {
+		for k := range m {
+			if !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }

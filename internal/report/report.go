@@ -1,19 +1,13 @@
-// Package report joins two benchmark or telemetry artifacts on their
-// deterministic keys and emits a per-metric delta table with regression
-// gating — the tooling behind cmd/acrreport, which turns "eyeball the
-// BENCH_N.json trajectory" into an exit-code check.
+// Package report joins two sets of run profiles on their deterministic
+// keys and emits a per-metric delta table with regression gating — the
+// tooling behind cmd/acrreport.
 //
-// Two artifact shapes are supported:
-//
-//   - BENCH_*.json documents (the bench-regression emitter's schema): rows
-//     join on their benchmark name, numeric row fields are the metrics,
-//     and each metric carries a known improvement direction (ns_per_op up
-//     is a regression, sim_mips down is).
-//   - Run-profile JSON files or directories of them (telemetry.Profile):
-//     profiles join on their canonicalised meta, series flatten to
-//     name{labels} samples, histograms additionally expose _count, _sum
-//     and interpolated p50/p99. Simulated results are deterministic, so
-//     any drift beyond the threshold counts as a regression (AnyChange).
+// Profiles (telemetry.Profile JSON files, or directories of them) join on
+// their canonicalised meta; series flatten to name{labels} samples, and
+// histograms additionally expose _count, _sum and interpolated p50/p99.
+// Simulated results are deterministic, so drift in either direction beyond
+// the threshold counts as a regression, and so does a sample present on
+// only one side of a matched profile.
 package report
 
 import (
@@ -26,34 +20,6 @@ import (
 	"acr/internal/stats"
 )
 
-// Direction classifies how a metric's delta maps to "regressed".
-type Direction int
-
-// Directions.
-const (
-	// HigherWorse flags relative increases beyond the threshold
-	// (latencies, allocation counts).
-	HigherWorse Direction = iota
-	// LowerWorse flags relative decreases beyond the threshold
-	// (throughput such as sim_mips).
-	LowerWorse
-	// AnyChange flags drift in either direction beyond the threshold
-	// (deterministic quantities such as instruction counts).
-	AnyChange
-)
-
-func (d Direction) String() string {
-	switch d {
-	case HigherWorse:
-		return "higher-worse"
-	case LowerWorse:
-		return "lower-worse"
-	case AnyChange:
-		return "any-change"
-	}
-	return "direction"
-}
-
 // Row is one (join key, metric) comparison.
 type Row struct {
 	Key    string  `json:"key"`
@@ -63,21 +29,24 @@ type Row struct {
 	// Delta is the relative change (new-old)/old; 0 when both sides are
 	// 0. When old is 0 and new is not, Delta is 0 and Appeared is set —
 	// the relative delta is undefined but the change is real.
-	Delta     float64 `json:"delta"`
-	Appeared  bool    `json:"appeared,omitempty"`
-	Direction string  `json:"direction"`
-	Regressed bool    `json:"regressed,omitempty"`
+	Delta    float64 `json:"delta"`
+	Appeared bool    `json:"appeared,omitempty"`
+	// OnlyIn is "old" or "new" when the metric exists on only that side
+	// of a matched key; the missing side's value reads 0 and the row
+	// always regresses.
+	OnlyIn    string `json:"only_in,omitempty"`
+	Regressed bool   `json:"regressed,omitempty"`
 }
 
 // Report is a full comparison.
 type Report struct {
-	Mode      string   `json:"mode"`
 	Threshold float64  `json:"threshold"`
 	Rows      []Row    `json:"rows"`
 	OnlyOld   []string `json:"only_old,omitempty"`
 	OnlyNew   []string `json:"only_new,omitempty"`
-	// Regressions counts rows whose delta crossed the threshold in the
-	// metric's worse direction; acrreport exits 1 when it is non-zero.
+	// Regressions counts rows whose delta crossed the threshold or whose
+	// metric is one-sided, plus, under RequireMatch, unmatched keys;
+	// acrreport exits 1 when it is non-zero.
 	Regressions int `json:"regressions"`
 }
 
@@ -88,8 +57,7 @@ type Options struct {
 	// fully deterministic metrics.
 	Threshold float64
 	// Metrics, when non-empty, restricts the comparison to metrics whose
-	// name (the row field for bench docs, the family name for profiles)
-	// is in the list.
+	// family name is in the list.
 	Metrics []string
 	// RequireMatch makes unmatched join keys on either side count as
 	// regressions instead of notes.
@@ -108,9 +76,10 @@ func (o Options) wants(metric string) bool {
 	return false
 }
 
-// compare builds one Row and classifies it against the threshold.
-func compare(key, metric string, oldV, newV float64, dir Direction, threshold float64) Row {
-	r := Row{Key: key, Metric: metric, Old: oldV, New: newV, Direction: dir.String()}
+// compare builds one Row and classifies it against the threshold: drift in
+// either direction regresses.
+func compare(key, metric string, oldV, newV float64, threshold float64) Row {
+	r := Row{Key: key, Metric: metric, Old: oldV, New: newV}
 	switch {
 	case oldV == 0 && newV == 0:
 		// No change, delta 0.
@@ -119,14 +88,7 @@ func compare(key, metric string, oldV, newV float64, dir Direction, threshold fl
 	default:
 		r.Delta = (newV - oldV) / math.Abs(oldV)
 	}
-	switch dir {
-	case HigherWorse:
-		r.Regressed = r.Delta > threshold || (r.Appeared && newV > 0)
-	case LowerWorse:
-		r.Regressed = r.Delta < -threshold
-	case AnyChange:
-		r.Regressed = math.Abs(r.Delta) > threshold || r.Appeared
-	}
+	r.Regressed = math.Abs(r.Delta) > threshold || r.Appeared
 	return r
 }
 
@@ -158,20 +120,25 @@ func (r *Report) finish(opt Options) {
 // Render writes the human-readable delta table plus a gate summary.
 func (r *Report) Render(w io.Writer) error {
 	t := &stats.Table{
-		Title: fmt.Sprintf("%s delta (threshold %.2f%%)", r.Mode, 100*r.Threshold),
+		Title: fmt.Sprintf("profile delta (threshold %.2f%%)", 100*r.Threshold),
 		Cols:  []string{"key", "metric", "old", "new", "delta%", "gate"},
 	}
 	for _, row := range r.Rows {
+		oldV, newV := formatNum(row.Old), formatNum(row.New)
 		delta := fmt.Sprintf("%+.2f", 100*row.Delta)
-		if row.Appeared {
+		switch {
+		case row.OnlyIn == "old":
+			newV, delta = "-", "only old"
+		case row.OnlyIn == "new":
+			oldV, delta = "-", "only new"
+		case row.Appeared:
 			delta = "new"
 		}
 		gate := "ok"
 		if row.Regressed {
 			gate = "REGRESSED"
 		}
-		t.AddRow(row.Key, row.Metric,
-			formatNum(row.Old), formatNum(row.New), delta, gate)
+		t.AddRow(row.Key, row.Metric, oldV, newV, delta, gate)
 	}
 	t.Render(w)
 	for _, k := range r.OnlyOld {

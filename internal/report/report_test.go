@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,126 +12,12 @@ import (
 	"acr/internal/telemetry"
 )
 
-func TestLoadBenchAndSelfDiff(t *testing.T) {
-	doc, err := LoadBench("../../BENCH_6.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Rows) == 0 {
-		t.Fatal("BENCH_6.json loaded no rows")
-	}
-	for name, row := range doc.Rows {
-		if _, ok := row["ns_per_op"]; !ok {
-			t.Fatalf("row %s lacks ns_per_op: %v", name, row)
-		}
-		if _, ok := row["n"]; ok {
-			t.Fatalf("row %s kept the harness iteration count as a metric", name)
-		}
-	}
-
-	// An artifact diffed against itself never regresses, even at
-	// threshold 0.
-	rep := DiffBench(doc, doc, Options{Threshold: 0})
-	if rep.Regressions != 0 {
-		t.Fatalf("self-diff found %d regressions", rep.Regressions)
-	}
-	if len(rep.Rows) == 0 || len(rep.OnlyOld) != 0 || len(rep.OnlyNew) != 0 {
-		t.Fatalf("self-diff shape: rows=%d onlyOld=%d onlyNew=%d",
-			len(rep.Rows), len(rep.OnlyOld), len(rep.OnlyNew))
-	}
-}
-
-// perturb deep-copies a BenchDoc and scales one metric of one row.
-func perturb(doc *BenchDoc, metric string, factor float64) *BenchDoc {
-	out := &BenchDoc{Path: doc.Path + "(perturbed)", Rows: make(map[string]map[string]float64)}
-	first := true
-	for name, row := range doc.Rows {
-		copied := make(map[string]float64, len(row))
-		for m, v := range row {
-			copied[m] = v
-		}
-		if first {
-			copied[metric] *= factor
-			first = false
-		}
-		out.Rows[name] = copied
-	}
-	return out
-}
-
-func TestDiffBenchDetectsInjectedRegression(t *testing.T) {
-	doc, err := LoadBench("../../BENCH_6.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// +50% ns_per_op on one row beats any sane threshold.
-	rep := DiffBench(doc, perturb(doc, "ns_per_op", 1.5), Options{Threshold: 0.05})
-	if rep.Regressions != 1 {
-		t.Fatalf("injected +50%% ns_per_op: %d regressions, want 1", rep.Regressions)
-	}
-	if !rep.Rows[0].Regressed || rep.Rows[0].Metric != "ns_per_op" {
-		t.Fatalf("regressions should sort first: %+v", rep.Rows[0])
-	}
-
-	// A 50% ns_per_op *improvement* is not a regression (HigherWorse).
-	rep = DiffBench(doc, perturb(doc, "ns_per_op", 0.5), Options{Threshold: 0.05})
-	if rep.Regressions != 0 {
-		t.Fatalf("improvement flagged as regression: %d", rep.Regressions)
-	}
-
-	// sim_mips is LowerWorse: halving it regresses, raising it does not.
-	if rep := DiffBench(doc, perturb(doc, "sim_mips", 0.5), Options{Threshold: 0.05}); rep.Regressions != 1 {
-		t.Fatalf("sim_mips drop: %d regressions, want 1", rep.Regressions)
-	}
-	if rep := DiffBench(doc, perturb(doc, "sim_mips", 2), Options{Threshold: 0.05}); rep.Regressions != 0 {
-		t.Fatalf("sim_mips gain flagged: %d", rep.Regressions)
-	}
-
-	// instrs is AnyChange: deterministic counts may not drift either way.
-	if rep := DiffBench(doc, perturb(doc, "instrs", 1.2), Options{Threshold: 0.05}); rep.Regressions != 1 {
-		t.Fatalf("instrs drift up: want 1 regression")
-	}
-	if rep := DiffBench(doc, perturb(doc, "instrs", 0.8), Options{Threshold: 0.05}); rep.Regressions != 1 {
-		t.Fatalf("instrs drift down: want 1 regression")
-	}
-
-	// Below-threshold drift passes.
-	if rep := DiffBench(doc, perturb(doc, "ns_per_op", 1.01), Options{Threshold: 0.05}); rep.Regressions != 0 {
-		t.Fatalf("1%% drift at 5%% threshold: %d regressions", rep.Regressions)
-	}
-
-	// The metrics allowlist masks regressions outside it.
-	rep = DiffBench(doc, perturb(doc, "ns_per_op", 1.5),
-		Options{Threshold: 0.05, Metrics: []string{"allocs_per_op"}})
-	if rep.Regressions != 0 {
-		t.Fatalf("allowlisted diff still sees ns_per_op: %d", rep.Regressions)
-	}
-}
-
-func TestDiffBenchUnmatchedRows(t *testing.T) {
-	oldDoc := &BenchDoc{Rows: map[string]map[string]float64{
-		"a": {"ns_per_op": 1}, "gone": {"ns_per_op": 1},
-	}}
-	newDoc := &BenchDoc{Rows: map[string]map[string]float64{
-		"a": {"ns_per_op": 1}, "fresh": {"ns_per_op": 1},
-	}}
-	rep := DiffBench(oldDoc, newDoc, Options{})
-	if rep.Regressions != 0 || len(rep.OnlyOld) != 1 || len(rep.OnlyNew) != 1 {
-		t.Fatalf("unmatched rows are notes by default: %+v", rep)
-	}
-	rep = DiffBench(oldDoc, newDoc, Options{RequireMatch: true})
-	if rep.Regressions != 2 {
-		t.Fatalf("-require-match: %d regressions, want 2", rep.Regressions)
-	}
-}
-
 func TestCompareAppeared(t *testing.T) {
-	r := compare("k", "m", 0, 5, HigherWorse, 0.05)
+	r := compare("k", "m", 0, 5, 0.05)
 	if !r.Appeared || !r.Regressed || r.Delta != 0 {
-		t.Fatalf("0→5 higher-worse: %+v", r)
+		t.Fatalf("0→5: %+v", r)
 	}
-	r = compare("k", "m", 0, 0, AnyChange, 0)
+	r = compare("k", "m", 0, 0, 0)
 	if r.Appeared || r.Regressed {
 		t.Fatalf("0→0: %+v", r)
 	}
@@ -212,10 +99,107 @@ func TestDiffProfiles(t *testing.T) {
 	}
 }
 
+// loadDir writes one profile (default contents plus touch) into a fresh
+// directory and loads it back.
+func loadDir(t *testing.T, meta map[string]string, touch func(*telemetry.Registry)) *ProfileSet {
+	t.Helper()
+	dir := t.TempDir()
+	writeProfile(t, dir, "a.json", meta, touch)
+	set, err := LoadProfiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+func TestDiffProfilesThresholdAndAllowlist(t *testing.T) {
+	meta := map[string]string{"bench": "is"}
+	base := loadDir(t, meta, nil)
+	// rep_events_total goes 10 → 11: +10%.
+	drifted := loadDir(t, meta, func(reg *telemetry.Registry) {
+		reg.Counter("rep_events_total", "", "kind").With("checkpoint").Add(1)
+	})
+
+	if rep := DiffProfiles(base, drifted, Options{Threshold: 0.05}); rep.Regressions != 1 {
+		t.Fatalf("+10%% at 5%% threshold: %d regressions, want 1", rep.Regressions)
+	} else if !rep.Rows[0].Regressed || rep.Rows[0].Metric != "rep_events_total{kind=checkpoint}" {
+		t.Fatalf("regressions should sort first: %+v", rep.Rows[0])
+	}
+	// Drift either way regresses: the simulator is deterministic.
+	if rep := DiffProfiles(drifted, base, Options{Threshold: 0.05}); rep.Regressions != 1 {
+		t.Fatalf("-9%% at 5%% threshold: %d regressions, want 1", rep.Regressions)
+	}
+	// Below-threshold drift passes.
+	if rep := DiffProfiles(base, drifted, Options{Threshold: 0.2}); rep.Regressions != 0 {
+		t.Fatalf("+10%% at 20%% threshold: %d regressions", rep.Regressions)
+	}
+	// The metrics allowlist masks regressions outside it.
+	rep := DiffProfiles(base, drifted, Options{Threshold: 0, Metrics: []string{"rep_span"}})
+	if rep.Regressions != 0 || len(rep.Rows) == 0 {
+		t.Fatalf("allowlisted diff: %d regressions over %d rows", rep.Regressions, len(rep.Rows))
+	}
+}
+
+func TestDiffProfilesUnmatchedKeys(t *testing.T) {
+	oldSet := &ProfileSet{Samples: map[string]map[string]float64{
+		"a": {"m": 1}, "gone": {"m": 1},
+	}}
+	newSet := &ProfileSet{Samples: map[string]map[string]float64{
+		"a": {"m": 1}, "fresh": {"m": 1},
+	}}
+	rep := DiffProfiles(oldSet, newSet, Options{})
+	if rep.Regressions != 0 || len(rep.OnlyOld) != 1 || len(rep.OnlyNew) != 1 {
+		t.Fatalf("unmatched keys are notes by default: %+v", rep)
+	}
+	rep = DiffProfiles(oldSet, newSet, Options{RequireMatch: true})
+	if rep.Regressions != 2 {
+		t.Fatalf("-require-match: %d regressions, want 2", rep.Regressions)
+	}
+}
+
+// TestDiffProfilesOneSidedMetrics: inside a matched profile, a family or
+// series present on only one side is a regression in either direction,
+// even at a loose threshold, unless the metrics allowlist excludes it.
+func TestDiffProfilesOneSidedMetrics(t *testing.T) {
+	meta := map[string]string{"bench": "is"}
+	base := loadDir(t, meta, nil)
+	extra := loadDir(t, meta, func(reg *telemetry.Registry) {
+		reg.Gauge("rep_extra", "").Set(0)
+	})
+	for _, tc := range []struct {
+		name     string
+		old, new *ProfileSet
+		onlyIn   string
+	}{
+		{"vanished", extra, base, "old"},
+		{"appeared", base, extra, "new"},
+	} {
+		rep := DiffProfiles(tc.old, tc.new, Options{Threshold: 0.5})
+		if rep.Regressions != 1 {
+			t.Fatalf("%s family: %d regressions, want 1", tc.name, rep.Regressions)
+		}
+		if got := rep.Rows[0]; got.Metric != "rep_extra" || got.OnlyIn != tc.onlyIn || !got.Regressed {
+			t.Fatalf("%s family row: %+v", tc.name, got)
+		}
+		masked := DiffProfiles(tc.old, tc.new, Options{Metrics: []string{"rep_events_total"}})
+		if masked.Regressions != 0 {
+			t.Fatalf("%s family outside the allowlist: %d regressions", tc.name, masked.Regressions)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := DiffProfiles(extra, base, Options{}).Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "only old") {
+		t.Fatalf("table does not name the missing side:\n%s", buf.String())
+	}
+}
+
 func TestRenderOutputs(t *testing.T) {
-	oldDoc := &BenchDoc{Rows: map[string]map[string]float64{"a": {"ns_per_op": 100}}}
-	newDoc := &BenchDoc{Rows: map[string]map[string]float64{"a": {"ns_per_op": 150}}}
-	rep := DiffBench(oldDoc, newDoc, Options{Threshold: 0.05})
+	oldSet := &ProfileSet{Samples: map[string]map[string]float64{"a": {"m": 100}}}
+	newSet := &ProfileSet{Samples: map[string]map[string]float64{"a": {"m": 150}}}
+	rep := DiffProfiles(oldSet, newSet, Options{Threshold: 0.05})
 
 	var buf bytes.Buffer
 	if err := rep.Render(&buf); err != nil {
@@ -234,7 +218,28 @@ func TestRenderOutputs(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatal(err)
 	}
-	if decoded.Regressions != 1 || decoded.Mode != "bench" {
+	if decoded.Regressions != 1 || len(decoded.Rows) != 1 || decoded.Rows[0].Delta != 0.5 {
 		t.Fatalf("JSON output: %+v", decoded)
 	}
+}
+
+// FuzzReadProfile feeds arbitrary bytes through the profile reader and the
+// flattening and diffing behind acrreport: any input is either rejected
+// with an error or loads into a profile that diffs clean against itself.
+// The seed corpus lives in testdata/fuzz/FuzzReadProfile.
+func FuzzReadProfile(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := telemetry.ReadProfile(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		set := &ProfileSet{Samples: map[string]map[string]float64{metaKey(p.Meta): flattenProfile(p)}}
+		rep := DiffProfiles(set, set, Options{RequireMatch: true})
+		if rep.Regressions != 0 {
+			t.Fatalf("profile self-diff found %d regressions", rep.Regressions)
+		}
+		if err := rep.Render(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -65,13 +65,6 @@ func (r *Registry) Snapshot() []SnapshotFamily {
 	return out
 }
 
-// WriteJSON writes the bare registry snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
-}
-
 // WriteProfile writes a run profile — metadata plus registry snapshot — as
 // indented JSON. encoding/json serialises the meta map with sorted keys, so
 // output is deterministic.
@@ -82,7 +75,9 @@ func WriteProfile(w io.Writer, meta map[string]string, reg *Registry) error {
 }
 
 // ReadProfile parses a profile written by WriteProfile and performs basic
-// shape validation (non-empty families, known kinds, label arity).
+// shape validation (non-empty families, known kinds, label arity, and
+// histogram bounds non-empty and sorted — Registry.Histogram's rules — with
+// one count per bound plus the overflow).
 func ReadProfile(r io.Reader) (*Profile, error) {
 	var p Profile
 	dec := json.NewDecoder(r)
@@ -98,6 +93,9 @@ func ReadProfile(r io.Reader) (*Profile, error) {
 		case "counter", "gauge", "histogram":
 		default:
 			return nil, fmt.Errorf("profile: family %q has unknown kind %q", f.Name, f.Kind)
+		}
+		if f.Kind == "histogram" && (len(f.Buckets) == 0 || !sort.Float64sAreSorted(f.Buckets)) {
+			return nil, fmt.Errorf("profile: histogram %q needs non-empty sorted buckets, got %v", f.Name, f.Buckets)
 		}
 		for _, s := range f.Series {
 			if len(s.LabelValues) != len(f.Labels) {
@@ -159,38 +157,4 @@ func ValidateTrace(r io.Reader) (int, error) {
 		}
 	}
 	return len(events), nil
-}
-
-// TopSeries returns up to n (name, labels, value) rows for the registry's
-// counter/gauge series sorted by descending value — a convenience for
-// human-readable driver summaries.
-func (r *Registry) TopSeries(n int) []string {
-	type row struct {
-		text  string
-		value float64
-	}
-	var rows []row
-	for _, f := range r.families {
-		if f.Kind == KindHistogram {
-			continue
-		}
-		for _, s := range f.series {
-			if s.value == 0 {
-				continue
-			}
-			rows = append(rows, row{
-				text:  fmt.Sprintf("%s%s = %s", f.Name, labelString(f.LabelNames, s.LabelValues, "", ""), formatValue(s.value)),
-				value: s.value,
-			})
-		}
-	}
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].value > rows[j].value })
-	if len(rows) > n {
-		rows = rows[:n]
-	}
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.text
-	}
-	return out
 }

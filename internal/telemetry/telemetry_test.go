@@ -223,6 +223,16 @@ func TestProfileRoundTrip(t *testing.T) {
 		`{"families":[{"name":"x","kind":"blob","series":[]}]}`)); err == nil {
 		t.Error("accepted unknown family kind")
 	}
+	// Histogram bounds obey Registry.Histogram's rules: at least one,
+	// sorted.
+	for name, doc := range map[string]string{
+		"empty":    `{"families":[{"name":"h","kind":"histogram","series":[{"bucket_counts":[5],"count":5}]}]}`,
+		"unsorted": `{"families":[{"name":"h","kind":"histogram","buckets":[10,1],"series":[{"bucket_counts":[1,2,3],"count":6}]}]}`,
+	} {
+		if _, err := ReadProfile(strings.NewReader(doc)); err == nil {
+			t.Errorf("accepted %s histogram bounds", name)
+		}
+	}
 }
 
 // TestObserveResultStrategyMetrics: ObserveResult labels the run with its
