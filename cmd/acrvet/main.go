@@ -7,11 +7,10 @@
 //
 //	acrvet [flags] [packages]
 //
-//	acrvet ./...                     check the whole module
-//	acrvet ./internal/sim            check one package
-//	acrvet -run noalloc,memokey ./...  run a subset of analyzers
-//	acrvet -json ./...               machine-readable diagnostics
-//	acrvet -list                     print the suite and exit
+//	acrvet ./...            check the whole module
+//	acrvet ./internal/sim   check one package
+//	acrvet -json ./...      machine-readable diagnostics
+//	acrvet -list            print the suite and exit
 package main
 
 import (
@@ -19,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"acr/internal/vet"
 )
@@ -28,7 +26,6 @@ func main() {
 	var (
 		jsonOut = flag.Bool("json", false, "emit diagnostics as JSON")
 		list    = flag.Bool("list", false, "list analyzers and exit")
-		run     = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 		dir     = flag.String("C", ".", "directory to resolve the module from")
 	)
 	flag.Parse()
@@ -38,20 +35,6 @@ func main() {
 			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-
-	analyzers := vet.Analyzers()
-	if *run != "" {
-		analyzers = analyzers[:0:0]
-		for _, name := range strings.Split(*run, ",") {
-			name = strings.TrimSpace(name)
-			a := vet.ByName(name)
-			if a == nil {
-				fmt.Fprintf(os.Stderr, "acrvet: unknown analyzer %q (try -list)\n", name)
-				os.Exit(2)
-			}
-			analyzers = append(analyzers, a)
-		}
 	}
 
 	patterns := flag.Args()
@@ -75,7 +58,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	diags := vet.Run(prog, analyzers)
+	diags := vet.Run(prog, vet.Analyzers())
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

@@ -6,10 +6,7 @@
 //
 // With -verify, every derived slice is additionally run through the
 // analysis.Verifier replay-safety proof; the process exits non-zero if any
-// slice is unsound, so the command doubles as a soundness gate. For -bench
-// kernels, -verify also surfaces the auto checkpoint strategy's static site
-// plan: how many ASSOC-ADDR sites are pruned, boosted or left to the
-// dynamic policy, with one advisory line per non-default decision.
+// slice is unsound, so the command doubles as a soundness gate.
 package main
 
 import (
@@ -71,23 +68,6 @@ func main() {
 			}
 		}
 		shown++
-	}
-	if v != nil {
-		plan, err := analysis.PlanCheckpointSites(p.Code, p.Entry, 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "slicedump:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nauto site plan: %d assoc-addr sites — %d verified replay-safe, %d boosted, %d pruned, %d defaulted\n",
-			plan.Sites, plan.Verified, plan.Boosted, plan.Pruned, plan.Defaulted)
-		diags, err := analysis.AutoPlanDiags(p.Code, p.Entry, 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "slicedump:", err)
-			os.Exit(1)
-		}
-		for _, d := range diags {
-			fmt.Printf("  %s\n", d)
-		}
 	}
 	if unsound > 0 {
 		fmt.Fprintf(os.Stderr, "slicedump: %d of %d slices are not replay-safe\n", unsound, shown)

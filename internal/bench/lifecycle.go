@@ -12,8 +12,8 @@ import (
 // lifecycle transitions and may attach sim.Observers, but like every
 // observer they must not feed anything back into simulated results: a
 // runner with a Lifecycle attached returns bit-identical Results to one
-// without (the simulator's observation invariant, enforced by the
-// determinism tests and the observerpurity analyzer).
+// without (the simulator's observation invariant, enforced by
+// TestLifecycleObservationInvariant and TestRunObservedMatchesRun).
 type Lifecycle interface {
 	// JobBegin is called when the driver starts working on a job. key is
 	// the job's deterministic memoisation key (Job.KeyString); shared

@@ -158,8 +158,8 @@ func TestLifecycleObservesRunObserved(t *testing.T) {
 // TestKeyStringCoversEverySpecField is the KeyString completeness proof:
 // perturbing any single Spec field of a checkpointed job must change the
 // key, so distinct memo cells can never collide in the run registry or its
-// journal. The memokey analyzer proves every field reaches runKey; this
-// proves runKey's string form keeps the distinctions.
+// journal. TestMemoKeyNonExemptFieldsDistinct proves every field reaches
+// runKey; this proves runKey's string form keeps the distinctions.
 func TestKeyStringCoversEverySpecField(t *testing.T) {
 	base := Job{Bench: "cg", Params: lcParams(), Spec: Spec{Ckpt: true}}
 	baseKey := base.KeyString()

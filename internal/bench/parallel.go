@@ -66,12 +66,12 @@ func (r *Runner) RunAll(jobs []Job) ([]sim.Result, error) {
 	results := make([]sim.Result, len(jobs))
 	errs := make([]error, len(jobs))
 	reports := make([]JobReport, len(jobs))
-	start := time.Now() //acr:wallclock-ok queue-wait profiling only; never reaches results
+	start := time.Now() // queue-wait profiling only; never reaches results
 	defer func() { r.appendReports(reports) }()
 
 	runOne := func(i int) {
 		j := jobs[i]
-		t0 := time.Now() //acr:wallclock-ok per-job wall profiling only; never reaches results
+		t0 := time.Now() // per-job wall profiling only; never reaches results
 		shared := r.hasEntry(j.key())
 		var obs []sim.Observer
 		token := r.beginJob(j)
@@ -85,7 +85,7 @@ func (r *Runner) RunAll(jobs []Job) ([]sim.Result, error) {
 		reports[i] = JobReport{
 			Job:       j,
 			QueueWait: t0.Sub(start),
-			Wall:      time.Since(t0), //acr:wallclock-ok per-job wall profiling only; never reaches results
+			Wall:      time.Since(t0),
 			Shared:    shared,
 		}
 	}

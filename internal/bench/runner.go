@@ -2,8 +2,6 @@
 // figure of the paper's evaluation (§IV–§V) from simulator runs. Each
 // experiment has a generator returning a stats.Table; cmd/acrbench and the
 // repository's bench_test.go drive them.
-//
-//acr:deterministic
 package bench
 
 import (
@@ -117,10 +115,9 @@ func DefaultParams() Params {
 // DefaultNumCkpts is the paper's default checkpoint count per run.
 const DefaultNumCkpts = 25
 
-// runKey is the memoisation key: a pure value (the memokey analyzer proves
-// deep comparability), so semantically equal configurations hit one cell.
-//
-//acr:memo-key
+// runKey is the memoisation key: a pure value (TestMemoKeyIsPureValue
+// rejects any reference-typed field), so semantically equal configurations
+// hit one cell.
 type runKey struct {
 	bench   string
 	threads int
@@ -135,16 +132,12 @@ type runKey struct {
 // key block on one execution instead of repeating it.
 //
 // Exported fields are driver knobs living outside the memo key; each must
-// carry //acr:memo-exempt with its result-invariance argument (the memokey
-// analyzer rejects undeclared knobs).
-//
-//acr:memo-cache
+// be listed in memoExemptKnobs (memokey_test.go) with the test proving it
+// result-invariant, or TestRunnerKnobsDeclared fails.
 type Runner struct {
 	// Workers bounds RunAll's worker pool; 0 means GOMAXPROCS. Results
 	// are bit-identical at any pool width — jobs are independent machines
 	// and results return in job order — so the knob stays outside the key.
-	//
-	//acr:memo-exempt
 	Workers int
 
 	// SimWorkers is the intra-run worker count handed to
@@ -153,8 +146,6 @@ type Runner struct {
 	// that fails its conflict check is discarded and replayed serially —
 	// so SimWorkers is deliberately not part of the memoisation key: a
 	// cache warmed at one worker count serves every other.
-	//
-	//acr:memo-exempt
 	SimWorkers int
 
 	// Lifecycle, when non-nil, receives job begin/end notifications from
@@ -163,8 +154,6 @@ type Runner struct {
 	// strictly one-way — observers cannot change simulated results, so
 	// the hook stays outside the memo key and a cache warmed with a
 	// lifecycle attached serves runs without one, bit-identically.
-	//
-	//acr:memo-exempt
 	Lifecycle Lifecycle
 
 	mu      sync.Mutex

@@ -15,8 +15,6 @@
 // NVM-like log tier with demotion) and auto (amnesic plus a static
 // analysis site plan) all plug into one Manager that owns the ring, the
 // interval logs and the generic bookkeeping.
-//
-//acr:deterministic
 package ckpt
 
 import (

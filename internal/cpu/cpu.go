@@ -8,8 +8,6 @@
 // — are deterministic functions of architectural state: no wall-clock
 // reads, no process-global randomness, no map-iteration order. The sim
 // package's bit-identity oracles depend on it.
-//
-//acr:deterministic
 package cpu
 
 import (

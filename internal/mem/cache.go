@@ -7,8 +7,6 @@
 // The design is functional-direct with timing-model caches, as in Sniper:
 // loads and stores update the flat memory immediately; the caches decide
 // which *level* serviced an access, which determines latency and energy.
-//
-//acr:deterministic
 package mem
 
 import "fmt"

@@ -7,8 +7,8 @@
 // service: everything here observes the bench driver through the
 // bench.Lifecycle seam and the sim.Observer contract — nothing feeds back
 // into simulated results, so observation on or off is bit-identical by
-// construction (the PR 3 invariant, enforced by the determinism tests and
-// the observerpurity analyzer).
+// construction (the PR 3 invariant, enforced by the sim telemetry
+// determinism tests and TestRegistryObservationInvariant).
 package obsrv
 
 import "acr/internal/sim"

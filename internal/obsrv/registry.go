@@ -160,8 +160,9 @@ func (g *Registry) Close() error {
 
 // runObserver is the sim.Observer the registry attaches to executions: a
 // locked fan-out into the run's flight ring and metrics collector. It is
-// strictly one-way (observerpurity-checked): it mutates only the run's own
-// observation state, never the machine.
+// strictly one-way: it mutates only the run's own observation state, never
+// the machine (TestRegistryObservationInvariant checks results with and
+// without it attached).
 type runObserver struct {
 	st *runState
 }

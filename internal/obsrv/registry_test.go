@@ -3,6 +3,7 @@ package obsrv
 import (
 	"errors"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -74,6 +75,43 @@ func TestRegistryRunLifecycle(t *testing.T) {
 	}
 	if rec.EndUnixNano == 0 || rec.EndUnixNano < rec.StartUnixNano {
 		t.Fatalf("wall times: start=%d end=%d", rec.StartUnixNano, rec.EndUnixNano)
+	}
+}
+
+// TestRegistryObservationInvariant: the registry's runObserver is one-way,
+// so a runner with the registry attached returns bit-identical results to
+// one without, for an error-free and a recovering amnesic job.
+func TestRegistryObservationInvariant(t *testing.T) {
+	p := bench.Params{Threads: 2, Class: workloads.ClassS}
+	faulted := bench.ReCkptE
+	faulted.Errors = 2
+	jobs := []bench.Job{
+		{Bench: "is", Params: p, Spec: bench.ReCkptE},
+		{Bench: "is", Params: p, Spec: faulted},
+	}
+	want, err := bench.NewRunner().RunAll(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	g, err := NewRegistry(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	observed := bench.NewRunner()
+	observed.Lifecycle = g
+	got, err := observed.RunAll(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !reflect.DeepEqual(want[i], got[i]) {
+			t.Errorf("job %d: results diverge with the registry attached\nwant %+v\ngot  %+v", i, want[i], got[i])
+		}
+	}
+	if rec, ok := g.Get(jobs[1].KeyString()); !ok || rec.EventsSeen == 0 {
+		t.Fatalf("registry observed no events for the faulted job: ok=%v %+v", ok, rec)
 	}
 }
 

@@ -21,8 +21,6 @@
 // re-executes the lost work, so the wasted time and energy of Equation 3
 // accrue naturally and final program outputs are verifiably identical to
 // error-free runs.
-//
-//acr:deterministic
 package sim
 
 import (

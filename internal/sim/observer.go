@@ -15,11 +15,10 @@ package sim
 // Observers must not mutate machine state: the simulation's determinism
 // invariant (bit-identical results for identical configs, with observation
 // attached or not) is maintained by keeping observation strictly one-way.
-// A mutating observer is a bug, and the determinism regression tests are
-// written to catch it — dynamically; the observerpurity analyzer proves the
-// write/call discipline statically for every implementation in the module.
-//
-//acr:observer
+// A mutating observer is a bug, and the regression tests are written to
+// catch it: TestMutatingObserverCaught is the standing mutation, and
+// TestTelemetryPreservesDeterminism runs the production observers (the
+// telemetry Collector and Tracer) attached and detached.
 type Observer interface {
 	OnEvent(e Event)
 }

@@ -191,7 +191,9 @@ func (c *Collector) ObserveResult(res sim.Result) {
 	energy := reg.Counter("acr_energy_events_total",
 		"Chargeable architectural events by kind.", "event")
 	names := make([]string, 0, len(res.EnergyEvents))
-	for name := range res.EnergyEvents { //acr:maporder-ok keys are sorted below before any output
+	// Map order is randomised; sort the keys so series are created, and
+	// so exported, in one order.
+	for name := range res.EnergyEvents {
 		names = append(names, name)
 	}
 	sort.Strings(names)

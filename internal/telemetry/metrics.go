@@ -10,8 +10,6 @@
 // enforced by the sim package's determinism regression tests. Registry
 // contents are themselves deterministic for a deterministic instrumentation
 // order: families and series export in creation order.
-//
-//acr:deterministic
 package telemetry
 
 import (

@@ -84,3 +84,16 @@ func TestParseSamplesRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseExposition: the exposition parsers never panic on arbitrary
+// input, and when both accept it they agree on the number of sample lines.
+// Seeds live in testdata/fuzz/FuzzParseExposition.
+func FuzzParseExposition(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, errExp := ParseExposition(bytes.NewReader(data))
+		samples, errSamples := ParseSamples(bytes.NewReader(data))
+		if errExp == nil && errSamples == nil && st.Samples != len(samples) {
+			t.Fatalf("ParseExposition counted %d samples, ParseSamples returned %d", st.Samples, len(samples))
+		}
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -14,25 +15,11 @@ import (
 // written like a compiler directive (no space after //, so gofmt preserves
 // it). Placement decides meaning:
 //
-//	//acr:deterministic      package clause doc — package joins the
-//	                         determinism analyzer's scope
 //	//acr:noalloc            func doc — function body is checked
 //	                         allocation-free
 //	//acr:spec-safe          func doc or interface type doc — function (or
 //	                         every method of the interface) may run during a
 //	                         speculative round
-//	//acr:observer           interface type doc — implementations' interface
-//	                         methods are checked side-effect-free
-//	//acr:memo-key           struct type doc — struct must be a pure value
-//	                         (deep comparability, no reference identity)
-//	//acr:memo-cache         struct type doc — exported fields must be
-//	                         //acr:memo-exempt
-//	//acr:memo-exempt        struct field — field deliberately does not
-//	                         contribute to the memoisation key
-//	//acr:wallclock-ok       func doc or end of line — intentional wall-clock
-//	                         use inside a deterministic package
-//	//acr:maporder-ok        func doc or end of line — map-range order proven
-//	                         not to reach any output
 //	//acr:alloc-ok           end of line — allocation site inside a noalloc
 //	                         function, justified (cold path, amortized
 //	                         growth, proven non-escaping)
@@ -58,17 +45,10 @@ const (
 // directives is the registry of known annotation names and where each may
 // appear.
 var directives = map[string]Placement{
-	"deterministic": OnPackage,
-	"noalloc":       OnFunc,
-	"spec-safe":     OnFunc | OnType,
-	"observer":      OnType,
-	"memo-key":      OnType,
-	"memo-cache":    OnType,
-	"memo-exempt":   OnField,
-	"wallclock-ok":  OnFunc | OnLine,
-	"maporder-ok":   OnFunc | OnLine,
-	"alloc-ok":      OnLine,
-	"spec-ok":       OnLine,
+	"noalloc":   OnFunc,
+	"spec-safe": OnFunc | OnType,
+	"alloc-ok":  OnLine,
+	"spec-ok":   OnLine,
 }
 
 // Annotation is one parsed //acr: directive.
@@ -79,14 +59,12 @@ type Annotation struct {
 }
 
 // Annotations indexes every directive in a Program by the entity it
-// annotates.
+// annotates. Package-clause and struct-field directives are only recorded
+// in all: no directive belongs there, so hygiene reports each one.
 type Annotations struct {
-	pkgs   map[string][]Annotation // package path → package-clause directives
-	funcs  map[*types.Func][]Annotation
-	types_ map[*types.TypeName][]Annotation
-	fields map[*types.Var][]Annotation
-	lines  map[string]map[int][]Annotation // filename → line → directives
-	all    []placed                        // everything, for the hygiene pass
+	funcs map[*types.Func][]Annotation
+	lines map[string]map[int][]Annotation // filename → line → directives
+	all   []placed                        // everything, for the hygiene pass
 }
 
 // placed is an Annotation plus its attachment context, kept for hygiene
@@ -120,43 +98,10 @@ func groupDirectives(g *ast.CommentGroup) []Annotation {
 	return anns
 }
 
-// PackageHas reports whether the package clause of pkgPath carries name.
-func (x *Annotations) PackageHas(pkgPath, name string) bool {
-	for _, a := range x.pkgs[pkgPath] {
-		if a.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
 // FuncHas reports whether fn's declaration carries name (directly, or via a
 // spec-safe interface whose method set fn belongs to — see indexing).
 func (x *Annotations) FuncHas(fn *types.Func, name string) bool {
 	for _, a := range x.funcs[fn] {
-		if a.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// Func returns fn's directives.
-func (x *Annotations) Func(fn *types.Func) []Annotation { return x.funcs[fn] }
-
-// TypeAnn returns the first directive named name on tn, if any.
-func (x *Annotations) TypeAnn(tn *types.TypeName, name string) (Annotation, bool) {
-	for _, a := range x.types_[tn] {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return Annotation{}, false
-}
-
-// FieldHas reports whether struct field v carries name.
-func (x *Annotations) FieldHas(v *types.Var, name string) bool {
-	for _, a := range x.fields[v] {
 		if a.Name == name {
 			return true
 		}
@@ -180,16 +125,13 @@ func (x *Annotations) LineHas(fset *token.FileSet, pos token.Pos, name string) b
 // directive by its syntactic attachment.
 func indexAnnotations(prog *Program) *Annotations {
 	x := &Annotations{
-		pkgs:   make(map[string][]Annotation),
-		funcs:  make(map[*types.Func][]Annotation),
-		types_: make(map[*types.TypeName][]Annotation),
-		fields: make(map[*types.Var][]Annotation),
-		lines:  make(map[string]map[int][]Annotation),
+		funcs: make(map[*types.Func][]Annotation),
+		lines: make(map[string]map[int][]Annotation),
 	}
 	for _, pkg := range prog.Pkgs {
 		for _, f := range pkg.Files {
 			claimed := make(map[*ast.CommentGroup]bool)
-			x.indexFile(prog, pkg, f, claimed)
+			x.indexFile(pkg, f, claimed)
 			// Every directive not claimed by a declaration is a line
 			// directive for its own source line.
 			for _, g := range f.Comments {
@@ -211,7 +153,7 @@ func indexAnnotations(prog *Program) *Annotations {
 	return x
 }
 
-func (x *Annotations) indexFile(prog *Program, pkg *Package, f *ast.File, claimed map[*ast.CommentGroup]bool) {
+func (x *Annotations) indexFile(pkg *Package, f *ast.File, claimed map[*ast.CommentGroup]bool) {
 	claim := func(g *ast.CommentGroup, at Placement, target types.Object) []Annotation {
 		if g == nil {
 			return nil
@@ -225,7 +167,7 @@ func (x *Annotations) indexFile(prog *Program, pkg *Package, f *ast.File, claime
 		return anns
 	}
 
-	x.pkgs[pkg.Path] = append(x.pkgs[pkg.Path], claim(f.Doc, OnPackage, nil)...)
+	claim(f.Doc, OnPackage, nil)
 
 	for _, d := range f.Decls {
 		switch d := d.(type) {
@@ -258,43 +200,20 @@ func (x *Annotations) indexFile(prog *Program, pkg *Package, f *ast.File, claime
 				if len(d.Specs) == 1 && len(declAnns) > 0 {
 					anns = append(anns, claim(d.Doc, OnType, target)...)
 				}
-				if tn == nil {
-					continue
+				if tn != nil {
+					x.indexTypeSpec(pkg, ts, tn, anns, claim)
 				}
-				x.types_[tn] = append(x.types_[tn], anns...)
-				x.indexTypeSpec(prog, pkg, ts, tn, claim)
 			}
 		}
 	}
 }
 
-func (x *Annotations) indexTypeSpec(prog *Program, pkg *Package, ts *ast.TypeSpec, tn *types.TypeName, claim func(*ast.CommentGroup, Placement, types.Object) []Annotation) {
+func (x *Annotations) indexTypeSpec(pkg *Package, ts *ast.TypeSpec, tn *types.TypeName, anns []Annotation, claim func(*ast.CommentGroup, Placement, types.Object) []Annotation) {
 	switch t := ts.Type.(type) {
 	case *ast.StructType:
 		for _, field := range t.Fields.List {
-			anns := claim(field.Doc, OnField, nil)
-			anns = append(anns, claim(field.Comment, OnField, nil)...)
-			if len(anns) == 0 {
-				continue
-			}
-			idents := field.Names
-			if len(idents) == 0 {
-				// Embedded field: resolve the implicit name's object from
-				// the struct type instead of the syntax.
-				if st, ok := tn.Type().Underlying().(*types.Struct); ok {
-					for i := 0; i < st.NumFields(); i++ {
-						if st.Field(i).Embedded() && st.Field(i).Pos() == field.Type.Pos() {
-							x.fields[st.Field(i)] = append(x.fields[st.Field(i)], anns...)
-						}
-					}
-				}
-				continue
-			}
-			for _, id := range idents {
-				if v, ok := pkg.Info.Defs[id].(*types.Var); ok {
-					x.fields[v] = append(x.fields[v], anns...)
-				}
-			}
+			claim(field.Doc, OnField, nil)
+			claim(field.Comment, OnField, nil)
 		}
 	case *ast.InterfaceType:
 		// A directive on an interface method attaches to the method object:
@@ -316,7 +235,7 @@ func (x *Annotations) indexTypeSpec(prog *Program, pkg *Package, ts *ast.TypeSpe
 		// through the interface are the engine's controlled injection
 		// points, and every implementation is annotated (and so checked)
 		// on its own.
-		if _, ok := x.TypeAnn(tn, "spec-safe"); !ok {
+		if !slices.ContainsFunc(anns, func(a Annotation) bool { return a.Name == "spec-safe" }) {
 			break
 		}
 		if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
@@ -326,23 +245,4 @@ func (x *Annotations) indexTypeSpec(prog *Program, pkg *Package, ts *ast.TypeSpe
 			}
 		}
 	}
-}
-
-// AnnotatedTypes returns every type annotated with name, in deterministic
-// (package, position) order.
-func (x *Annotations) AnnotatedTypes(prog *Program, name string) []*types.TypeName {
-	var out []*types.TypeName
-	for _, pkg := range prog.Pkgs {
-		scope := pkg.Types.Scope()
-		for _, n := range scope.Names() {
-			tn, ok := scope.Lookup(n).(*types.TypeName)
-			if !ok {
-				continue
-			}
-			if _, ok := x.TypeAnn(tn, name); ok {
-				out = append(out, tn)
-			}
-		}
-	}
-	return out
 }

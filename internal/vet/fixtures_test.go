@@ -14,26 +14,12 @@ import (
 
 const fixture = "acr/internal/vet/testdata/"
 
-func TestDeterminismFixture(t *testing.T) {
-	vettest.Check(t, vet.DeterminismAnalyzer, fixture+"determinism")
-}
-
 func TestNoAllocFixture(t *testing.T) {
 	vettest.Check(t, vet.NoAllocAnalyzer, fixture+"noalloc")
 }
 
 func TestSpecSafetyFixture(t *testing.T) {
 	vettest.Check(t, vet.SpecSafetyAnalyzer, fixture+"specsafety")
-}
-
-func TestObserverFixture(t *testing.T) {
-	// The interface and its implementations load as two packages so the
-	// cross-package call-back rule is exercised as in the real repository.
-	vettest.Check(t, vet.ObserverAnalyzer, fixture+"observer", fixture+"observer/impls")
-}
-
-func TestMemoKeyFixture(t *testing.T) {
-	vettest.Check(t, vet.MemoKeyAnalyzer, fixture+"memokey")
 }
 
 func TestHygieneFixture(t *testing.T) {

@@ -54,7 +54,6 @@ func runHygiene(prog *Program) []Diagnostic {
 			}
 			seen[key] = true
 		}
-		diags = append(diags, placementChecks(prog, p)...)
 	}
 
 	// Near-miss spellings anywhere in the sources.
@@ -68,29 +67,6 @@ func runHygiene(prog *Program) []Diagnostic {
 							"%q is not a directive (write //acr:name with no spaces)", firstLine(text)))
 					}
 				}
-			}
-		}
-	}
-	return diags
-}
-
-// placementChecks validates directive-specific target constraints beyond
-// raw placement.
-func placementChecks(prog *Program, p placed) []Diagnostic {
-	var diags []Diagnostic
-	switch p.Name {
-	case "observer":
-		if tn, ok := p.target.(*types.TypeName); ok {
-			if _, isIface := tn.Type().Underlying().(*types.Interface); !isIface {
-				diags = append(diags, diag(prog, "annotations", p.Pos,
-					"//acr:%s on type %s: only interface types take this directive", p.Name, tn.Name()))
-			}
-		}
-	case "memo-key", "memo-cache":
-		if tn, ok := p.target.(*types.TypeName); ok {
-			if _, isStruct := tn.Type().Underlying().(*types.Struct); !isStruct {
-				diags = append(diags, diag(prog, "annotations", p.Pos,
-					"//acr:%s on type %s: only struct types take this directive", p.Name, tn.Name()))
 			}
 		}
 	}

@@ -24,8 +24,8 @@ type Package struct {
 
 // Program is a loaded set of packages sharing one FileSet, one type-checker
 // universe (cross-package objects are pointer-identical) and one annotation
-// index. Analyzers receive the whole Program: several invariants (spec-safe
-// call closures, observer implementations) are inherently cross-package.
+// index. Analyzers receive the whole Program: spec-safe call closures are
+// inherently cross-package.
 type Program struct {
 	Fset   *token.FileSet
 	Pkgs   []*Package // sorted by import path
@@ -33,18 +33,6 @@ type Program struct {
 
 	// Ann indexes every //acr: annotation in the loaded sources.
 	Ann *Annotations
-
-	// decls maps function and method objects to their declarations, for
-	// analyzers that follow type-checker objects back to syntax.
-	decls map[*types.Func]*ast.FuncDecl
-	// declPkg maps a declaration's function object to its Package.
-	declPkg map[*types.Func]*Package
-}
-
-// Decl returns the declaration of fn and the package holding it, or nil if
-// fn was not declared in the loaded sources (e.g. a stdlib function).
-func (p *Program) Decl(fn *types.Func) (*ast.FuncDecl, *Package) {
-	return p.decls[fn], p.declPkg[fn]
 }
 
 // Loader loads packages of one module from source, resolving intra-module
@@ -269,27 +257,7 @@ func (l *Loader) Load(patterns ...string) (*Program, error) {
 // Programs assembled by one loader share its FileSet and object identity,
 // so annotations indexed from one Load call resolve against the next.
 func (l *Loader) program(pkgs []*Package) *Program {
-	prog := &Program{
-		Fset:    l.fset,
-		Pkgs:    pkgs,
-		Module:  l.Module,
-		decls:   make(map[*types.Func]*ast.FuncDecl),
-		declPkg: make(map[*types.Func]*Package),
-	}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					prog.decls[fn] = fd
-					prog.declPkg[fn] = pkg
-				}
-			}
-		}
-	}
+	prog := &Program{Fset: l.fset, Pkgs: pkgs, Module: l.Module}
 	prog.Ann = indexAnnotations(prog)
 	return prog
 }

@@ -1,6 +1,6 @@
 // Package hygiene is an acrvet fixture for the annotation-grammar checks:
-// unknown names, misplaced directives, duplicates, directive-specific
-// target constraints and the spaced-prefix near-miss.
+// unknown names, misplaced directives, duplicates and the spaced-prefix
+// near-miss.
 package hygiene
 
 // Unknown carries a directive the registry does not know.
@@ -10,11 +10,11 @@ package hygiene
 //acr:nosuch
 func Unknown() {}
 
-// Misplaced carries a package-only directive on a function.
+// Misplaced carries an end-of-line directive on a function.
 //
-// want-next "//acr:deterministic is meaningless on a function declaration; it belongs on a package clause"
+// want-next "//acr:alloc-ok is meaningless on a function declaration; it belongs at end of line"
 //
-//acr:deterministic
+//acr:alloc-ok
 func Misplaced() {}
 
 // Duplicated carries the same directive twice.
@@ -24,20 +24,6 @@ func Misplaced() {}
 //acr:noalloc
 //acr:noalloc
 func Duplicated() {}
-
-// BadObserver puts the interface-only directive on a struct.
-//
-// want-next "//acr:observer on type BadObserver: only interface types take this directive"
-//
-//acr:observer
-type BadObserver struct{ N int }
-
-// BadKey puts a struct-only directive on a named slice.
-//
-// want-next "//acr:memo-key on type BadKey: only struct types take this directive"
-//
-//acr:memo-key
-type BadKey []int
 
 // NearMiss demonstrates the dangerous typo: a spaced prefix is an ordinary
 // comment and would silently annotate nothing.
