@@ -138,22 +138,16 @@ func main() {
 			if err != nil {
 				return nil, fmt.Errorf("-strategy-cores: %w", err)
 			}
-			tab, err := r.StrategyMatrix(benches, cores, cl, *stratErrors)
+			doc, err := r.StrategyMatrixDoc(benches, cores, cl, *stratErrors)
 			if err != nil {
 				return nil, err
 			}
 			if *stratJSON != "" {
-				// All cells are memoised by the table run above, so the
-				// doc assembly is pure cache reads.
-				doc, err := r.StrategyMatrixDoc(benches, cores, cl, *stratErrors)
-				if err != nil {
-					return nil, err
-				}
 				if err := writeJSON(*stratJSON, doc); err != nil {
 					return nil, err
 				}
 			}
-			return tab, nil
+			return doc.Table(), nil
 		}},
 		{"abl-policy", func() (*stats.Table, error) { return r.AblationPolicy(p) }},
 		{"abl-addrmap", func() (*stats.Table, error) { return r.AblationAddrMap(p) }},

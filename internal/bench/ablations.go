@@ -23,29 +23,16 @@ func (r *Runner) AblationPolicy(p Params) (*stats.Table, error) {
 	}
 	costSpec := ReCkptNE
 	costSpec.CostPolicy = true
-	if err := r.warm(p, NoCkpt, ReCkptNE, costSpec); err != nil {
+	g, err := r.grid(p, NoCkpt, ReCkptNE, costSpec)
+	if err != nil {
 		return nil, err
 	}
-	for _, name := range BenchNames() {
-		base, err := r.Baseline(name, p)
-		if err != nil {
-			return nil, err
-		}
-		thr, err := r.Run(name, p, ReCkptNE)
-		if err != nil {
-			return nil, err
-		}
-		cost := ReCkptNE
-		cost.CostPolicy = true
-		cres, err := r.Run(name, p, cost)
-		if err != nil {
-			return nil, err
-		}
+	for i, name := range BenchNames() {
+		base, thr, cost := g[i][0], g[i][1], g[i][2]
 		to, _ := sizeReduction(thr)
-		co, _ := sizeReduction(cres)
+		co, _ := sizeReduction(cost)
 		t.AddRow(name, stats.Pct(to), stats.Pct(co),
-			stats.Pct(stats.OverheadPct(float64(thr.Cycles), float64(base.Cycles))),
-			stats.Pct(stats.OverheadPct(float64(cres.Cycles), float64(base.Cycles))))
+			stats.Pct(timeOvh(thr, base)), stats.Pct(timeOvh(cost, base)))
 	}
 	t.AddNote("the cost policy embeds every Slice whose recomputation is cheaper than the avoided memory traffic")
 	return t, nil
@@ -58,32 +45,24 @@ func (r *Runner) AblationPolicy(p Params) (*stats.Table, error) {
 func (r *Runner) AblationAddrMap(p Params) (*stats.Table, error) {
 	caps := []int{64, 256, 1024, 4096 * p.Threads}
 	cols := []string{"bench"}
-	for _, c := range caps {
+	specs := make([]Spec, len(caps))
+	for k, c := range caps {
 		cols = append(cols, fmt.Sprintf("%d", c))
+		specs[k] = ReCkptNE
+		specs[k].MapCapacity = c
 	}
 	t := &stats.Table{
 		Title: "Ablation: checkpoint size reduction (%) vs AddrMap capacity (records)",
 		Cols:  cols,
 	}
-	specs := make([]Spec, 0, len(caps))
-	for _, c := range caps {
-		spec := ReCkptNE
-		spec.MapCapacity = c
-		specs = append(specs, spec)
-	}
-	if err := r.warm(p, specs...); err != nil {
+	g, err := r.grid(p, specs...)
+	if err != nil {
 		return nil, err
 	}
-	for _, name := range BenchNames() {
+	for i, name := range BenchNames() {
 		row := []string{name}
-		for _, c := range caps {
-			spec := ReCkptNE
-			spec.MapCapacity = c
-			res, err := r.Run(name, p, spec)
-			if err != nil {
-				return nil, err
-			}
-			overall, _ := sizeReduction(res)
+		for k := range caps {
+			overall, _ := sizeReduction(g[i][k])
 			row = append(row, stats.Pct(overall))
 		}
 		t.AddRow(row...)
@@ -99,36 +78,25 @@ func (r *Runner) AblationAddrMap(p Params) (*stats.Table, error) {
 func (r *Runner) AblationDetect(p Params) (*stats.Table, error) {
 	fracs := []float64{0.1, 0.25, 0.5, 0.75, 1.0}
 	cols := []string{"bench"}
+	specs := []Spec{NoCkpt}
 	for _, f := range fracs {
 		cols = append(cols, fmt.Sprintf("%.2f", f))
+		spec := ReCkptE
+		spec.DetectFrac = f
+		specs = append(specs, spec)
 	}
 	t := &stats.Table{
 		Title: "Ablation: ReCkpt_E time overhead (%) vs detection latency (fraction of period)",
 		Cols:  cols,
 	}
-	specs := []Spec{NoCkpt}
-	for _, f := range fracs {
-		spec := ReCkptE
-		spec.DetectFrac = f
-		specs = append(specs, spec)
-	}
-	if err := r.warm(p, specs...); err != nil {
+	g, err := r.grid(p, specs...)
+	if err != nil {
 		return nil, err
 	}
-	for _, name := range BenchNames() {
-		base, err := r.Baseline(name, p)
-		if err != nil {
-			return nil, err
-		}
+	for i, name := range BenchNames() {
 		row := []string{name}
-		for _, f := range fracs {
-			spec := ReCkptE
-			spec.DetectFrac = f
-			res, err := r.Run(name, p, spec)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, stats.Pct(stats.OverheadPct(float64(res.Cycles), float64(base.Cycles))))
+		for _, res := range g[i][1:] {
+			row = append(row, stats.Pct(timeOvh(res, g[i][0])))
 		}
 		t.AddRow(row...)
 	}
@@ -147,30 +115,17 @@ func (r *Runner) AblationAdaptive(p Params) (*stats.Table, error) {
 	}
 	adaSpec := ReCkptNE
 	adaSpec.Adaptive = true
-	if err := r.warm(p, NoCkpt, ReCkptNE, adaSpec); err != nil {
+	g, err := r.grid(p, NoCkpt, ReCkptNE, adaSpec)
+	if err != nil {
 		return nil, err
 	}
-	for _, name := range BenchNames() {
-		base, err := r.Baseline(name, p)
-		if err != nil {
-			return nil, err
-		}
-		uni, err := r.Run(name, p, ReCkptNE)
-		if err != nil {
-			return nil, err
-		}
-		spec := ReCkptNE
-		spec.Adaptive = true
-		ada, err := r.Run(name, p, spec)
-		if err != nil {
-			return nil, err
-		}
+	for i, name := range BenchNames() {
+		base, uni, ada := g[i][0], g[i][1], g[i][2]
 		uo, _ := sizeReduction(uni)
 		ao, _ := sizeReduction(ada)
 		t.AddRow(name,
 			fmt.Sprintf("%d", uni.Ckpt.Checkpoints), fmt.Sprintf("%d", ada.Ckpt.Checkpoints),
-			stats.Pct(stats.OverheadPct(float64(uni.Cycles), float64(base.Cycles))),
-			stats.Pct(stats.OverheadPct(float64(ada.Cycles), float64(base.Cycles))),
+			stats.Pct(timeOvh(uni, base)), stats.Pct(timeOvh(ada, base)),
 			stats.Pct(uo), stats.Pct(ao))
 	}
 	t.AddNote("adaptive placement defers boundaries while recomputation is absorbing the would-be checkpoint")

@@ -37,62 +37,65 @@ func Fig1(generations int) *stats.Table {
 	return t
 }
 
-// overheads collects the percentage time/energy overhead of spec w.r.t.
-// NoCkpt for each benchmark.
-func (r *Runner) overheads(p Params, spec Spec, energy bool) (map[string]float64, error) {
-	out := make(map[string]float64)
-	for _, name := range BenchNames() {
-		base, err := r.Baseline(name, p)
-		if err != nil {
-			return nil, err
-		}
-		res, err := r.Run(name, p, spec)
-		if err != nil {
-			return nil, err
-		}
-		if energy {
-			out[name] = stats.OverheadPct(res.EnergyPJ, base.EnergyPJ)
-		} else {
-			out[name] = stats.OverheadPct(float64(res.Cycles), float64(base.Cycles))
+// grid runs specs × the eight paper benchmarks through one RunAll and
+// returns the results indexed [bench][spec], benchmarks in BenchNames
+// order. The simulations — the actual cost — run on the worker pool; each
+// generator then reads its cells from the one result.
+func (r *Runner) grid(p Params, specs ...Spec) ([][]sim.Result, error) {
+	names := BenchNames()
+	jobs := make([]Job, 0, len(specs)*len(names))
+	for _, name := range names {
+		for _, s := range specs {
+			jobs = append(jobs, Job{Bench: name, Params: p, Spec: s})
 		}
 	}
+	res, err := r.RunAll(jobs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]sim.Result, len(names))
+	for i := range out {
+		out[i] = res[i*len(specs) : (i+1)*len(specs)]
+	}
 	return out, nil
+}
+
+// timeOvh is the percentage execution-time overhead of res w.r.t. base.
+func timeOvh(res, base sim.Result) float64 {
+	return stats.OverheadPct(float64(res.Cycles), float64(base.Cycles))
 }
 
 // figOverheads builds Fig. 6 (time) or Fig. 7 (energy): the overhead of
 // Ckpt_NE, Ckpt_E, ReCkpt_NE, ReCkpt_E w.r.t. NoCkpt, plus the reduction
 // ReCkpt achieves over Ckpt.
 func (r *Runner) figOverheads(p Params, energy bool) (*stats.Table, error) {
-	kind, fig := "time", "Fig. 6"
+	kind, fig, ovhOf := "time", "Fig. 6", timeOvh
 	if energy {
 		kind, fig = "energy", "Fig. 7"
+		ovhOf = func(res, base sim.Result) float64 { return stats.OverheadPct(res.EnergyPJ, base.EnergyPJ) }
 	}
 	t := &stats.Table{
 		Title: fmt.Sprintf("%s: %% %s overhead of checkpointing and recovery (w.r.t. NoCkpt)", fig, kind),
 		Cols: []string{"bench", "Ckpt_NE", "Ckpt_E", "ReCkpt_NE", "ReCkpt_E",
 			"redNE%", "redE%"},
 	}
-	specs := []Spec{CkptNE, CkptE, ReCkptNE, ReCkptE}
-	if err := r.warm(p, append([]Spec{NoCkpt}, specs...)...); err != nil {
+	g, err := r.grid(p, NoCkpt, CkptNE, CkptE, ReCkptNE, ReCkptE)
+	if err != nil {
 		return nil, err
 	}
-	ovh := make([]map[string]float64, len(specs))
-	for i, s := range specs {
-		m, err := r.overheads(p, s, energy)
-		if err != nil {
-			return nil, err
-		}
-		ovh[i] = m
-	}
 	var redNE, redE []float64
-	for _, name := range BenchNames() {
-		rNE := stats.ReductionPct(ovh[0][name], ovh[2][name])
-		rE := stats.ReductionPct(ovh[1][name], ovh[3][name])
+	for i, name := range BenchNames() {
+		var ovh [4]float64
+		for k := range ovh {
+			ovh[k] = ovhOf(g[i][k+1], g[i][0])
+		}
+		rNE := stats.ReductionPct(ovh[0], ovh[2])
+		rE := stats.ReductionPct(ovh[1], ovh[3])
 		redNE = append(redNE, rNE)
 		redE = append(redE, rE)
 		t.AddRow(name,
-			stats.Pct(ovh[0][name]), stats.Pct(ovh[1][name]),
-			stats.Pct(ovh[2][name]), stats.Pct(ovh[3][name]),
+			stats.Pct(ovh[0]), stats.Pct(ovh[1]),
+			stats.Pct(ovh[2]), stats.Pct(ovh[3]),
 			stats.Pct(rNE), stats.Pct(rE))
 	}
 	t.AddRow("avg", "", "", "", "", stats.Pct(stats.Mean(redNE)), stats.Pct(stats.Mean(redE)))
@@ -113,29 +116,16 @@ func (r *Runner) Fig8(p Params) (*stats.Table, error) {
 		Title: "Fig. 8: % EDP reduction under ReCkpt_NE and ReCkpt_E (w.r.t. Ckpt_NE / Ckpt_E)",
 		Cols:  []string{"bench", "ReCkpt_NE", "ReCkpt_E"},
 	}
-	if err := r.warm(p, NoCkpt, CkptNE, ReCkptNE, CkptE, ReCkptE); err != nil {
+	// NoCkpt is not read here; every checkpointed run calibrates against it.
+	g, err := r.grid(p, NoCkpt, CkptNE, ReCkptNE, CkptE, ReCkptE)
+	if err != nil {
 		return nil, err
 	}
 	var ne, e []float64
-	for _, name := range BenchNames() {
-		rCkNE, err := r.Run(name, p, CkptNE)
-		if err != nil {
-			return nil, err
-		}
-		rReNE, err := r.Run(name, p, ReCkptNE)
-		if err != nil {
-			return nil, err
-		}
-		rCkE, err := r.Run(name, p, CkptE)
-		if err != nil {
-			return nil, err
-		}
-		rReE, err := r.Run(name, p, ReCkptE)
-		if err != nil {
-			return nil, err
-		}
-		vNE := stats.ReductionPct(rCkNE.EDP(), rReNE.EDP())
-		vE := stats.ReductionPct(rCkE.EDP(), rReE.EDP())
+	for i, name := range BenchNames() {
+		row := g[i]
+		vNE := stats.ReductionPct(row[1].EDP(), row[2].EDP())
+		vE := stats.ReductionPct(row[3].EDP(), row[4].EDP())
 		ne = append(ne, vNE)
 		e = append(e, vE)
 		t.AddRow(name, stats.Pct(vNE), stats.Pct(vE))
@@ -177,16 +167,13 @@ func (r *Runner) Fig9(p Params) (*stats.Table, error) {
 		Title: "Fig. 9: % reduction of checkpoint size under ReCkpt_NE (w.r.t. Ckpt_NE)",
 		Cols:  []string{"bench", "Overall", "Max"},
 	}
-	if err := r.warm(p, ReCkptNE); err != nil {
+	g, err := r.grid(p, ReCkptNE)
+	if err != nil {
 		return nil, err
 	}
 	var all []float64
-	for _, name := range BenchNames() {
-		res, err := r.Run(name, p, ReCkptNE)
-		if err != nil {
-			return nil, err
-		}
-		overall, max := sizeReduction(res)
+	for i, name := range BenchNames() {
+		overall, max := sizeReduction(g[i][0])
 		all = append(all, overall)
 		t.AddRow(name, stats.Pct(overall), stats.Pct(max))
 	}
@@ -195,32 +182,33 @@ func (r *Runner) Fig9(p Params) (*stats.Table, error) {
 	return t, nil
 }
 
+// thresholds is the Slice-length threshold sweep of Table II and Fig. 10.
+var thresholds = []int{10, 20, 30, 40, 50}
+
+// thresholdSpecs returns ReCkpt_NE at each sweep threshold.
+func thresholdSpecs() []Spec {
+	specs := make([]Spec, len(thresholds))
+	for i, th := range thresholds {
+		specs[i] = ReCkptNE
+		specs[i].Threshold = th
+	}
+	return specs
+}
+
 // TableII reproduces the Slice-length threshold sweep: total checkpoint
 // size reduction under ReCkpt_NE for thresholds 10..50.
 func (r *Runner) TableII(p Params) (*stats.Table, error) {
-	thresholds := []int{10, 20, 30, 40, 50}
 	t := &stats.Table{
 		Title: "Table II: total checkpoint size reduction (%) w.r.t. Slice length threshold",
 		Cols:  []string{"bench", "10", "20", "30", "40", "50"},
 	}
-	specs := make([]Spec, 0, len(thresholds))
-	for _, th := range thresholds {
-		spec := ReCkptNE
-		spec.Threshold = th
-		specs = append(specs, spec)
-	}
-	if err := r.warm(p, specs...); err != nil {
+	g, err := r.grid(p, thresholdSpecs()...)
+	if err != nil {
 		return nil, err
 	}
-	for _, name := range BenchNames() {
+	for i, name := range BenchNames() {
 		row := []string{name}
-		for _, th := range thresholds {
-			spec := ReCkptNE
-			spec.Threshold = th
-			res, err := r.Run(name, p, spec)
-			if err != nil {
-				return nil, err
-			}
+		for _, res := range g[i] {
 			overall, _ := sizeReduction(res)
 			row = append(row, stats.Pct(overall))
 		}
@@ -233,14 +221,12 @@ func (r *Runner) TableII(p Params) (*stats.Table, error) {
 // Fig10 reproduces the per-interval checkpoint size reduction over time for
 // one benchmark (the paper shows bt) across thresholds.
 func (r *Runner) Fig10(p Params, benchName string) (*stats.Table, error) {
-	thresholds := []int{10, 20, 30, 40, 50}
-	jobs := make([]Job, 0, len(thresholds))
-	for _, th := range thresholds {
-		spec := ReCkptNE
-		spec.Threshold = th
+	var jobs []Job
+	for _, spec := range thresholdSpecs() {
 		jobs = append(jobs, Job{Bench: benchName, Params: p, Spec: spec})
 	}
-	if _, err := r.RunAll(jobs); err != nil {
+	res, err := r.RunAll(jobs)
+	if err != nil {
 		return nil, err
 	}
 	cols := []string{"interval"}
@@ -248,13 +234,7 @@ func (r *Runner) Fig10(p Params, benchName string) (*stats.Table, error) {
 	maxLen := 0
 	for i, th := range thresholds {
 		cols = append(cols, fmt.Sprintf("thr=%d", th))
-		spec := ReCkptNE
-		spec.Threshold = th
-		res, err := r.Run(benchName, p, spec)
-		if err != nil {
-			return nil, err
-		}
-		for _, iv := range res.Intervals {
+		for _, iv := range res[i].Intervals {
 			red := 0.0
 			if iv.Size() > 0 {
 				red = float64(iv.Omitted) / float64(iv.Size()) * 100
@@ -287,112 +267,50 @@ func (r *Runner) Fig10(p Params, benchName string) (*stats.Table, error) {
 // ReCkpt_E w.r.t. NoCkpt for 1..5 errors, with the EDP reduction series of
 // §V-D2.
 func (r *Runner) Fig11(p Params) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: "Fig. 11: % execution time overhead vs number of errors (w.r.t. NoCkpt)",
-		Cols: []string{"bench",
-			"Ckpt 1e", "Re 1e", "Ckpt 2e", "Re 2e", "Ckpt 3e", "Re 3e",
-			"Ckpt 4e", "Re 4e", "Ckpt 5e", "Re 5e"},
-	}
-	specs := []Spec{NoCkpt}
-	for e := 1; e <= 5; e++ {
-		specs = append(specs,
-			Spec{Ckpt: true, Errors: e},
-			Spec{Ckpt: true, Errors: e, Strategy: ckpt.KindAmnesic})
-	}
-	if err := r.warm(p, specs...); err != nil {
-		return nil, err
-	}
-	type cell struct{ ck, re float64 }
-	grid := make(map[string][]cell)
-	for _, name := range BenchNames() {
-		base, err := r.Baseline(name, p)
-		if err != nil {
-			return nil, err
-		}
-		for e := 1; e <= 5; e++ {
-			ck := Spec{Ckpt: true, Errors: e}
-			re := Spec{Ckpt: true, Errors: e, Strategy: ckpt.KindAmnesic}
-			rc, err := r.Run(name, p, ck)
-			if err != nil {
-				return nil, err
-			}
-			rr, err := r.Run(name, p, re)
-			if err != nil {
-				return nil, err
-			}
-			grid[name] = append(grid[name], cell{
-				ck: stats.OverheadPct(float64(rc.Cycles), float64(base.Cycles)),
-				re: stats.OverheadPct(float64(rr.Cycles), float64(base.Cycles)),
-			})
-		}
-	}
-	for _, name := range BenchNames() {
-		row := []string{name}
-		for _, c := range grid[name] {
-			row = append(row, stats.Pct(c.ck), stats.Pct(c.re))
-		}
-		t.AddRow(row...)
-	}
-	// §V-D2 companion: per-error-count average reduction.
-	for e := 0; e < 5; e++ {
-		var reds []float64
-		for _, name := range BenchNames() {
-			c := grid[name][e]
-			reds = append(reds, stats.ReductionPct(c.ck, c.re))
-		}
-		t.AddNote("%d error(s): ReCkpt_E reduces time overhead by %.2f%% on average", e+1, stats.Mean(reds))
-	}
-	return t, nil
+	return r.pairSweep(p, "Fig. 11: % execution time overhead vs number of errors (w.r.t. NoCkpt)",
+		"%de", "%d error(s): ReCkpt_E reduces time overhead by %.2f%% on average",
+		[]int{1, 2, 3, 4, 5}, func(e int) Spec { return Spec{Ckpt: true, Errors: e} })
 }
 
 // Fig12 reproduces the checkpoint-frequency sweep: % time overhead of
 // Ckpt_NE and ReCkpt_NE w.r.t. NoCkpt for 25/50/75/100 checkpoints.
 func (r *Runner) Fig12(p Params) (*stats.Table, error) {
-	counts := []int{25, 50, 75, 100}
+	return r.pairSweep(p, "Fig. 12: % execution time overhead vs number of checkpoints (w.r.t. NoCkpt)",
+		"%d", "%d checkpoints: ReCkpt_NE reduces time overhead by %.2f%% on average",
+		[]int{25, 50, 75, 100}, func(c int) Spec { return Spec{Ckpt: true, NumCkpts: c} })
+}
+
+// pairSweep renders the body Figs. 11 and 12 share: for each x, the % time
+// overhead w.r.t. NoCkpt of the conventional spec ckptAt(x) and of its
+// amnesic counterpart, in a "Ckpt <col>"/"Re <col>" column pair, and a note
+// giving ReCkpt's average overhead reduction at x.
+func (r *Runner) pairSweep(p Params, title, col, note string, xs []int, ckptAt func(x int) Spec) (*stats.Table, error) {
 	cols := []string{"bench"}
-	for _, c := range counts {
-		cols = append(cols, fmt.Sprintf("Ckpt %d", c), fmt.Sprintf("Re %d", c))
-	}
-	t := &stats.Table{
-		Title: "Fig. 12: % execution time overhead vs number of checkpoints (w.r.t. NoCkpt)",
-		Cols:  cols,
-	}
 	specs := []Spec{NoCkpt}
-	for _, c := range counts {
-		specs = append(specs,
-			Spec{Ckpt: true, NumCkpts: c},
-			Spec{Ckpt: true, Strategy: ckpt.KindAmnesic, NumCkpts: c})
+	for _, x := range xs {
+		cols = append(cols, fmt.Sprintf("Ckpt "+col, x), fmt.Sprintf("Re "+col, x))
+		re := ckptAt(x)
+		re.Strategy = ckpt.KindAmnesic
+		specs = append(specs, ckptAt(x), re)
 	}
-	if err := r.warm(p, specs...); err != nil {
+	t := &stats.Table{Title: title, Cols: cols}
+	g, err := r.grid(p, specs...)
+	if err != nil {
 		return nil, err
 	}
-	perCount := make([][]float64, len(counts))
-	for _, name := range BenchNames() {
-		base, err := r.Baseline(name, p)
-		if err != nil {
-			return nil, err
-		}
+	reds := make([][]float64, len(xs))
+	for i, name := range BenchNames() {
 		row := []string{name}
-		for i, c := range counts {
-			ck := Spec{Ckpt: true, NumCkpts: c}
-			re := Spec{Ckpt: true, Strategy: ckpt.KindAmnesic, NumCkpts: c}
-			rc, err := r.Run(name, p, ck)
-			if err != nil {
-				return nil, err
-			}
-			rr, err := r.Run(name, p, re)
-			if err != nil {
-				return nil, err
-			}
-			oc := stats.OverheadPct(float64(rc.Cycles), float64(base.Cycles))
-			or := stats.OverheadPct(float64(rr.Cycles), float64(base.Cycles))
-			perCount[i] = append(perCount[i], stats.ReductionPct(oc, or))
-			row = append(row, stats.Pct(oc), stats.Pct(or))
+		for k := range xs {
+			ck := timeOvh(g[i][1+2*k], g[i][0])
+			re := timeOvh(g[i][2+2*k], g[i][0])
+			reds[k] = append(reds[k], stats.ReductionPct(ck, re))
+			row = append(row, stats.Pct(ck), stats.Pct(re))
 		}
 		t.AddRow(row...)
 	}
-	for i, c := range counts {
-		t.AddNote("%d checkpoints: ReCkpt_NE reduces time overhead by %.2f%% on average", c, stats.Mean(perCount[i]))
+	for k, x := range xs {
+		t.AddNote(note, x, stats.Mean(reds[k]))
 	}
 	return t, nil
 }
@@ -404,31 +322,19 @@ func (r *Runner) Fig13(p Params) (*stats.Table, error) {
 		Title: "Fig. 13: normalized execution time of local configurations (w.r.t. global counterparts)",
 		Cols:  []string{"bench", "Ckpt_NE,Loc", "Ckpt_E,Loc", "ReCkpt_NE,Loc", "ReCkpt_E,Loc"},
 	}
-	pairs := [][2]Spec{
-		{CkptNELoc, CkptNE},
-		{CkptELoc, CkptE},
-		{ReCkptNELoc, ReCkptNE},
-		{ReCkptELoc, ReCkptE},
-	}
-	var specs []Spec
-	for _, pair := range pairs {
-		specs = append(specs, pair[0], pair[1])
-	}
-	if err := r.warm(p, specs...); err != nil {
+	// (local, global) pairs, one per column.
+	g, err := r.grid(p,
+		CkptNELoc, CkptNE,
+		CkptELoc, CkptE,
+		ReCkptNELoc, ReCkptNE,
+		ReCkptELoc, ReCkptE)
+	if err != nil {
 		return nil, err
 	}
-	for _, name := range BenchNames() {
+	for i, name := range BenchNames() {
 		row := []string{name}
-		for _, pair := range pairs {
-			loc, err := r.Run(name, p, pair[0])
-			if err != nil {
-				return nil, err
-			}
-			glob, err := r.Run(name, p, pair[1])
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.3f", float64(loc.Cycles)/float64(glob.Cycles)))
+		for k := 0; k < len(g[i]); k += 2 {
+			row = append(row, fmt.Sprintf("%.3f", float64(g[i][k].Cycles)/float64(g[i][k+1].Cycles)))
 		}
 		t.AddRow(row...)
 	}
@@ -457,27 +363,17 @@ func (r *Runner) Scalability(class Params) (*stats.Table, error) {
 			}
 		}
 	}
-	if _, err := r.RunAll(jobs); err != nil {
+	res, err := r.RunAll(jobs)
+	if err != nil {
 		return nil, err
 	}
-	for _, name := range BenchNames() {
+	names := BenchNames()
+	for i, name := range names {
 		row := []string{name}
-		for _, tc := range threadCounts {
-			p := Params{Threads: tc, Class: class.Class}
-			base, err := r.Baseline(name, p)
-			if err != nil {
-				return nil, err
-			}
-			rc, err := r.Run(name, p, CkptNE)
-			if err != nil {
-				return nil, err
-			}
-			rr, err := r.Run(name, p, ReCkptNE)
-			if err != nil {
-				return nil, err
-			}
-			oc := stats.OverheadPct(float64(rc.Cycles), float64(base.Cycles))
-			or := stats.OverheadPct(float64(rr.Cycles), float64(base.Cycles))
+		for k := range threadCounts {
+			cell := res[3*(k*len(names)+i):]
+			base, rc, rr := cell[0], cell[1], cell[2]
+			oc, or := timeOvh(rc, base), timeOvh(rr, base)
 			edp := stats.ReductionPct(rc.EDP(), rr.EDP())
 			row = append(row, stats.Pct(oc), stats.Pct(stats.ReductionPct(oc, or)), stats.Pct(edp))
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"acr/internal/ckpt"
@@ -12,8 +13,10 @@ import (
 )
 
 // recordingLifecycle captures every JobBegin/JobEnd and counts observed
-// events, for asserting the driver fires the seam correctly.
+// events, for asserting the driver fires the seam correctly. RunAll's pool
+// calls JobBegin from several workers, hence the lock.
 type recordingLifecycle struct {
+	mu     sync.Mutex
 	begins []beginCall
 	tokens []*recordingObservation
 }
@@ -39,6 +42,8 @@ func (o *recordingObservation) JobEnd(res sim.Result, err error) {
 }
 
 func (l *recordingLifecycle) JobBegin(j Job, key string, shared bool) JobObservation {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.begins = append(l.begins, beginCall{key: key, shared: shared})
 	tok := &recordingObservation{}
 	l.tokens = append(l.tokens, tok)
@@ -52,6 +57,7 @@ func lcParams() Params {
 func TestLifecycleObservesRunAll(t *testing.T) {
 	lc := &recordingLifecycle{}
 	r := NewRunner()
+	r.Workers = 1 // serial, so JobBegin fires in job order
 	r.Lifecycle = lc
 	p := lcParams()
 

@@ -130,18 +130,3 @@ func (r *Runner) RunAll(jobs []Job) ([]sim.Result, error) {
 	}
 	return results, nil
 }
-
-// warm pre-executes specs × the eight paper benchmarks through RunAll so a
-// generator's subsequent sequential Run calls read memoised results. The
-// experiment generators call it first: table assembly stays simple and
-// ordered while the simulations — the actual cost — run in parallel.
-func (r *Runner) warm(p Params, specs ...Spec) error {
-	jobs := make([]Job, 0, len(specs)*len(BenchNames()))
-	for _, name := range BenchNames() {
-		for _, s := range specs {
-			jobs = append(jobs, Job{Bench: name, Params: p, Spec: s})
-		}
-	}
-	_, err := r.RunAll(jobs)
-	return err
-}

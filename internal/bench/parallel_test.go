@@ -9,7 +9,7 @@ import (
 // TestParallelDriverMatchesSerial is the driver half of the determinism
 // regression: the same experiment grid executed serially and through a
 // forced multi-worker pool must produce byte-identical sim.Result structs,
-// in job order. Workers is forced above 1 so the concurrent path runs even
+// in job order, each equal to a fresh run of its own job. Workers is forced above 1 so the concurrent path runs even
 // on a single-CPU machine (go test -race then exercises the cache).
 func TestParallelDriverMatchesSerial(t *testing.T) {
 	p := tinyParams()
@@ -43,6 +43,18 @@ func TestParallelDriverMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("job %d (%s %v): parallel result differs from serial:\n%+v\n%+v",
 				i, jobs[i].Bench, jobs[i].Spec, got[i], want[i])
+		}
+	}
+
+	// Each result is its own job's run: a pool that returned the right
+	// results in a consistent wrong order would still match serial above.
+	for i, j := range jobs {
+		fresh, err := NewRunner().Run(j.Bench, j.Params, j.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], fresh) {
+			t.Errorf("job %d (%s %v): RunAll result differs from a fresh Run of the job", i, j.Bench, j.Spec)
 		}
 	}
 

@@ -1,7 +1,7 @@
 // Package bench is the experiment harness: it reconstructs every table and
 // figure of the paper's evaluation (§IV–§V) from simulator runs. Each
-// experiment has a generator returning a stats.Table; cmd/acrbench and the
-// repository's bench_test.go drive them.
+// experiment has a generator returning a stats.Table; cmd/acrbench drives
+// them, and the root package's TestPaperShapes checks their class-S shapes.
 package bench
 
 import (

@@ -69,8 +69,6 @@ func (r *Runner) StrategyMatrixDoc(benches []string, threadCounts []int, class w
 		Errors:   errors,
 		HostCPUs: runtime.NumCPU(),
 	}
-	// Warm the whole grid through the memoised worker pool, then read the
-	// cells back (cache hits) in deterministic order.
 	specs := append([]Spec{NoCkpt}, append(StrategySpecs(0), StrategySpecs(errors)...)...)
 	var jobs []Job
 	for _, threads := range threadCounts {
@@ -81,39 +79,32 @@ func (r *Runner) StrategyMatrixDoc(benches []string, threadCounts []int, class w
 			}
 		}
 	}
-	if _, err := r.RunAll(jobs); err != nil {
+	res, err := r.RunAll(jobs)
+	if err != nil {
 		return nil, err
 	}
+	kinds := ckpt.Kinds()
 	for _, threads := range threadCounts {
-		p := Params{Threads: threads, Class: class}
 		for _, benchName := range benches {
-			base, err := r.Baseline(benchName, p)
-			if err != nil {
-				return nil, err
-			}
-			for _, kind := range ckpt.Kinds() {
-				ne, err := r.Run(benchName, p, Spec{Ckpt: true, Strategy: kind})
-				if err != nil {
-					return nil, err
-				}
-				er, err := r.Run(benchName, p, Spec{Ckpt: true, Strategy: kind, Errors: errors})
-				if err != nil {
-					return nil, err
-				}
+			// This (threads, bench) cell's results: NoCkpt, then every
+			// kind error-free, then every kind with errors.
+			base, ne, er := res[0], res[1:1+len(kinds)], res[1+len(kinds):len(specs)]
+			res = res[len(specs):]
+			for k, kind := range kinds {
 				doc.Cells = append(doc.Cells, StrategyCell{
 					Bench:       benchName,
 					Threads:     threads,
 					Strategy:    kind.String(),
-					TimeOvhNE:   stats.OverheadPct(float64(ne.Cycles), float64(base.Cycles)),
-					EnergyOvhNE: stats.OverheadPct(ne.EnergyPJ, base.EnergyPJ),
-					TimeOvhE:    stats.OverheadPct(float64(er.Cycles), float64(base.Cycles)),
-					EnergyOvhE:  stats.OverheadPct(er.EnergyPJ, base.EnergyPJ),
-					Logged:      ne.Ckpt.LoggedWords,
-					Omitted:     ne.Ckpt.OmittedWords,
-					Delta:       ne.Ckpt.DeltaWords,
-					FastLog:     ne.Ckpt.FastLogWords,
-					Demoted:     ne.Ckpt.DemotedWords,
-					Recoveries:  er.Ckpt.Recoveries,
+					TimeOvhNE:   timeOvh(ne[k], base),
+					EnergyOvhNE: stats.OverheadPct(ne[k].EnergyPJ, base.EnergyPJ),
+					TimeOvhE:    timeOvh(er[k], base),
+					EnergyOvhE:  stats.OverheadPct(er[k].EnergyPJ, base.EnergyPJ),
+					Logged:      ne[k].Ckpt.LoggedWords,
+					Omitted:     ne[k].Ckpt.OmittedWords,
+					Delta:       ne[k].Ckpt.DeltaWords,
+					FastLog:     ne[k].Ckpt.FastLogWords,
+					Demoted:     ne[k].Ckpt.DemotedWords,
+					Recoveries:  er[k].Ckpt.Recoveries,
 				})
 			}
 		}
@@ -121,12 +112,8 @@ func (r *Runner) StrategyMatrixDoc(benches []string, threadCounts []int, class w
 	return doc, nil
 }
 
-// StrategyMatrix renders the strategy matrix as a table.
-func (r *Runner) StrategyMatrix(benches []string, threadCounts []int, class workloads.Class, errors int) (*stats.Table, error) {
-	doc, err := r.StrategyMatrixDoc(benches, threadCounts, class, errors)
-	if err != nil {
-		return nil, err
-	}
+// Table renders the strategy matrix as a table.
+func (doc *StrategyMatrixDoc) Table() *stats.Table {
 	t := &stats.Table{
 		Title: fmt.Sprintf("Checkpoint-strategy matrix (class %s, %d ckpts, %d error(s) in _E)",
 			doc.Class, doc.NumCkpts, doc.Errors),
@@ -148,5 +135,5 @@ func (r *Runner) StrategyMatrix(benches []string, threadCounts []int, class work
 	t.AddNote("tiered: inline log to the fast NVM tier (fast), demoted to DRAM at depth %d of %d retained.",
 		ckpt.TieredFastRetain, ckpt.TieredRetention)
 	t.AddNote("auto: amnesic plus the static site plan (pruned/boosted ASSOC sites).")
-	return t, nil
+	return t
 }

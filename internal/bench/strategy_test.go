@@ -117,10 +117,11 @@ func TestStrategyMatrixDocSmoke(t *testing.T) {
 func TestStrategyMatrixTableRenders(t *testing.T) {
 	r := NewRunner()
 	p := tinyParams()
-	tab, err := r.StrategyMatrix([]string{"is"}, []int{2}, p.Class, 1)
+	doc, err := r.StrategyMatrixDoc([]string{"is"}, []int{2}, p.Class, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := doc.Table()
 	if len(tab.Rows) != len(ckpt.Kinds()) {
 		t.Errorf("rows = %d, want %d", len(tab.Rows), len(ckpt.Kinds()))
 	}
