@@ -14,6 +14,11 @@ import (
 // runner with a Lifecycle attached returns bit-identical Results to one
 // without (the simulator's observation invariant, enforced by
 // TestLifecycleObservationInvariant and TestRunObservedMatchesRun).
+//
+// A checkpointed job may execute its machine several times while
+// calibrating its period; the runner asks the job's JobObservation for
+// observers once per execution, so an implementation can tell the
+// converged (last) execution from earlier attempts.
 type Lifecycle interface {
 	// JobBegin is called when the driver starts working on a job. key is
 	// the job's deterministic memoisation key (Job.KeyString); shared
@@ -26,12 +31,12 @@ type Lifecycle interface {
 
 // JobObservation is one observed job in flight.
 type JobObservation interface {
-	// Observers are attached to every machine execution performed on
-	// behalf of this job (including checkpoint-period calibration
-	// attempts — the flight-recorder semantics are "recent activity",
-	// not "the converged run"; use Runner.RunObserved for the latter).
-	// Cache-shared jobs execute nothing, so their observers see no
-	// events.
+	// Observers is called once per machine execution performed on
+	// behalf of this job, calibration attempts included, and the
+	// returned observers are attached to that execution alone. The last
+	// call precedes the converged execution whose Result JobEnd
+	// receives. Cache-shared jobs execute nothing, so Observers is
+	// never called for them.
 	Observers() []sim.Observer
 	// JobEnd delivers the job's final result or error.
 	JobEnd(res sim.Result, err error)

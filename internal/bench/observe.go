@@ -28,24 +28,21 @@ import (
 // job: the lifecycle's observers join the replay (seeing exactly the
 // converged execution) and JobEnd receives the replayed Result.
 func (r *Runner) RunObserved(benchName string, p Params, spec Spec, obs ...sim.Observer) (res sim.Result, err error) {
+	j := Job{Bench: benchName, Params: p, Spec: spec}
 	bench, berr := workloads.ByName(benchName)
 	if berr != nil {
 		return sim.Result{}, berr
 	}
-	if token := r.beginJob(Job{Bench: benchName, Params: p, Spec: spec}); token != nil {
+	if token := r.beginJob(j); token != nil {
 		obs = append(append([]sim.Observer(nil), token.Observers()...), obs...)
 		defer func() { token.JobEnd(res, err) }()
 	}
 	if !spec.Ckpt {
-		return r.execute(bench, p, spec, r.SimWorkers, 0, 0, 0, obs...)
+		return r.execute(bench, j, 0, 0, obs...)
 	}
 	calibrated, cerr := r.Run(benchName, p, spec)
 	if cerr != nil {
 		return sim.Result{}, cerr
 	}
-	n := spec.NumCkpts
-	if n == 0 {
-		n = DefaultNumCkpts
-	}
-	return r.execute(bench, p, spec, r.SimWorkers, calibrated.PeriodCycles, int64(n), calibrated.ROIStartCycles, obs...)
+	return r.execute(bench, j, calibrated.PeriodCycles, calibrated.ROIStartCycles, obs...)
 }

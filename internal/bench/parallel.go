@@ -73,12 +73,8 @@ func (r *Runner) RunAll(jobs []Job) ([]sim.Result, error) {
 		j := jobs[i]
 		t0 := time.Now() // per-job wall profiling only; never reaches results
 		shared := r.hasEntry(j.key())
-		var obs []sim.Observer
 		token := r.beginJob(j)
-		if token != nil {
-			obs = token.Observers()
-		}
-		results[i], errs[i] = r.runWith(j.Bench, j.Params, j.Spec, obs...)
+		results[i], errs[i] = r.runWith(j, token)
 		if token != nil {
 			token.JobEnd(results[i], errs[i])
 		}

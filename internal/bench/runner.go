@@ -106,12 +106,6 @@ type Params struct {
 	Class   workloads.Class
 }
 
-// DefaultParams mirrors the paper's primary setup: 8 threads on 8 cores
-// (scalability raises this to 16/32), class W problems.
-func DefaultParams() Params {
-	return Params{Threads: 8, Class: workloads.ClassW}
-}
-
 // DefaultNumCkpts is the paper's default checkpoint count per run.
 const DefaultNumCkpts = 25
 
@@ -179,17 +173,18 @@ func NewRunner() *Runner {
 // calibrating against its NoCkpt baseline) nest through distinct cache
 // entries, so the once gates cannot deadlock.
 func (r *Runner) Run(benchName string, p Params, spec Spec) (sim.Result, error) {
-	return r.runWith(benchName, p, spec)
+	return r.runWith(Job{Bench: benchName, Params: p, Spec: spec}, nil)
 }
 
-// runWith is Run with observers attached to every execution performed for
-// the key (calibration attempts included; dependent baseline runs are
-// their own keys and stay unobserved). Only the caller that wins the once
-// gate attaches its observers — concurrent requests for an in-flight key
-// share the result, not the event stream.
-func (r *Runner) runWith(benchName string, p Params, spec Spec, obs ...sim.Observer) (sim.Result, error) {
-	e := r.entry(runKey{benchName, p.Threads, p.Class.Name, spec})
-	e.once.Do(func() { e.res, e.err = r.run(benchName, p, spec, obs...) })
+// runWith is Run observed by tok (nil for none): every machine execution
+// performed for the key, calibration attempts included, asks tok for a
+// fresh set of observers (dependent baseline runs are their own keys and
+// stay unobserved). Only the caller that wins the once gate observes —
+// concurrent requests for an in-flight key share the result, not the
+// event stream.
+func (r *Runner) runWith(j Job, tok JobObservation) (sim.Result, error) {
+	e := r.entry(j.key())
+	e.once.Do(func() { e.res, e.err = r.run(j, tok) })
 	return e.res, e.err
 }
 
@@ -209,13 +204,13 @@ func (r *Runner) Baseline(benchName string, p Params) (sim.Result, error) {
 	return r.Run(benchName, p, NoCkpt)
 }
 
-func (r *Runner) run(benchName string, p Params, spec Spec, obs ...sim.Observer) (sim.Result, error) {
-	bench, err := workloads.ByName(benchName)
+func (r *Runner) run(j Job, tok JobObservation) (sim.Result, error) {
+	bench, err := workloads.ByName(j.Bench)
 	if err != nil {
 		return sim.Result{}, err
 	}
-	if !spec.Ckpt {
-		return r.execute(bench, p, spec, r.SimWorkers, 0, 0, 0, obs...)
+	if !j.Spec.Ckpt {
+		return r.execute(bench, j, 0, 0, observersOf(tok)...)
 	}
 
 	// The paper fixes the number of checkpoints per run and distributes
@@ -224,30 +219,27 @@ func (r *Runner) run(benchName string, p Params, spec Spec, obs ...sim.Observer)
 	// calibrated by fixed point: start from the NoCkpt runtime, re-derive
 	// the period from each run's realised length, and stop once the
 	// final checkpoint lands in the last fraction of the run.
-	base, err := r.Baseline(benchName, p)
+	base, err := r.Baseline(j.Bench, j.Params)
 	if err != nil {
 		return sim.Result{}, err
 	}
-	n := spec.NumCkpts
-	if n == 0 {
-		n = DefaultNumCkpts
-	}
+	n := ckptBudget(j.Spec)
 	roi := int64(float64(base.Cycles) * bench.WarmupFrac)
 	horizon := base.Cycles
 	var res sim.Result
 	for attempt := 0; attempt < 4; attempt++ {
-		period := (horizon - roi) / int64(n+1)
+		period := (horizon - roi) / (n + 1)
 		if period < 1 {
 			period = 1
 		}
-		res, err = r.execute(bench, p, spec, r.SimWorkers, period, int64(n), roi, obs...)
+		res, err = r.execute(bench, j, period, roi, observersOf(tok)...)
 		if err != nil {
 			return sim.Result{}, err
 		}
 		// Converged when the n budgeted checkpoints cover the run:
 		// the realised run is within one period of n+1 periods past
 		// the ROI start.
-		if res.Cycles-roi <= int64(n+2)*period {
+		if res.Cycles-roi <= (n+2)*period {
 			break
 		}
 		horizon = res.Cycles
@@ -255,57 +247,94 @@ func (r *Runner) run(benchName string, p Params, spec Spec, obs ...sim.Observer)
 	return res, nil
 }
 
-func (r *Runner) execute(bench workloads.Bench, p Params, spec Spec, workers int, period, maxCkpts, roi int64, obs ...sim.Observer) (sim.Result, error) {
-	cfg := sim.DefaultConfig(p.Threads)
-	cfg.Workers = workers
-	cfg.Observers = obs
-	if spec.Ckpt {
-		cfg.Checkpointing = true
-		cfg.Strategy = spec.Strategy
-		cfg.PeriodCycles = period
-		cfg.MaxCheckpoints = maxCkpts
-		cfg.ROIStartCycles = roi
-		if spec.Local {
-			cfg.Mode = ckpt.Local
-		}
-		if spec.Strategy.Amnesic() {
-			threshold := spec.Threshold
-			if threshold == 0 {
-				threshold = bench.Threshold
-			}
-			capacity := spec.MapCapacity
-			if capacity == 0 {
-				capacity = 4096 * p.Threads
-			}
-			cfg.ACR = acr.Config{Threshold: threshold, MapCapacity: capacity}
-			if spec.CostPolicy {
-				cfg.ACR.Policy = acr.PolicyCost
-			}
-			cfg.AdaptivePlacement = spec.Adaptive
-		}
-		if spec.Errors > 0 {
-			// Errors uniformly distributed over the ROI (§V-D2),
-			// detection latency of half a period by default (≤ period,
-			// §II-A).
-			frac := spec.DetectFrac
-			if frac == 0 {
-				frac = 0.5
-			}
-			lat := int64(float64(period) * frac)
-			cfg.Errors = fault.UniformIn(spec.Errors, roi, roi+period*maxCkpts, lat)
-		}
+// observersOf returns tok's observers for one machine execution, or none
+// when the job is unobserved.
+func observersOf(tok JobObservation) []sim.Observer {
+	if tok == nil {
+		return nil
 	}
-	program, err := bench.Build(p.Threads, p.Class)
+	return tok.Observers()
+}
+
+// ckptBudget is the number of checkpoints spec distributes over its run.
+func ckptBudget(spec Spec) int64 {
+	if spec.NumCkpts == 0 {
+		return DefaultNumCkpts
+	}
+	return int64(spec.NumCkpts)
+}
+
+// MachineConfig translates job j into the sim.Config the Runner executes it
+// with, at the given checkpoint period and ROI start (both unused when the
+// spec does not checkpoint). The checkpoint budget is Spec.NumCkpts. The
+// engine width (Workers) and Observers are left at their defaults.
+func MachineConfig(j Job, period, roi int64) (sim.Config, error) {
+	bench, err := workloads.ByName(j.Bench)
 	if err != nil {
-		return sim.Result{}, fmt.Errorf("bench %s %v: %w", bench.Name, spec, err)
+		return sim.Config{}, err
+	}
+	return machineConfig(bench, j, period, roi), nil
+}
+
+func machineConfig(bench workloads.Bench, j Job, period, roi int64) sim.Config {
+	spec := j.Spec
+	cfg := sim.DefaultConfig(j.Params.Threads)
+	if !spec.Ckpt {
+		return cfg
+	}
+	n := ckptBudget(spec)
+	cfg.Checkpointing = true
+	cfg.Strategy = spec.Strategy
+	cfg.PeriodCycles = period
+	cfg.MaxCheckpoints = n
+	cfg.ROIStartCycles = roi
+	if spec.Local {
+		cfg.Mode = ckpt.Local
+	}
+	if spec.Strategy.Amnesic() {
+		threshold := spec.Threshold
+		if threshold == 0 {
+			threshold = bench.Threshold
+		}
+		capacity := spec.MapCapacity
+		if capacity == 0 {
+			capacity = 4096 * j.Params.Threads
+		}
+		cfg.ACR = acr.Config{Threshold: threshold, MapCapacity: capacity}
+		if spec.CostPolicy {
+			cfg.ACR.Policy = acr.PolicyCost
+		}
+		cfg.AdaptivePlacement = spec.Adaptive
+	}
+	if spec.Errors > 0 {
+		// Errors uniformly distributed over the ROI (§V-D2), detection
+		// latency of half a period by default (≤ period, §II-A).
+		frac := spec.DetectFrac
+		if frac == 0 {
+			frac = 0.5
+		}
+		lat := int64(float64(period) * frac)
+		cfg.Errors = fault.UniformIn(spec.Errors, roi, roi+period*n, lat)
+	}
+	return cfg
+}
+
+// execute builds and runs one machine for job j at r.SimWorkers.
+func (r *Runner) execute(bench workloads.Bench, j Job, period, roi int64, obs ...sim.Observer) (sim.Result, error) {
+	cfg := machineConfig(bench, j, period, roi)
+	cfg.Workers = r.SimWorkers
+	cfg.Observers = obs
+	program, err := bench.Build(j.Params.Threads, j.Params.Class)
+	if err != nil {
+		return sim.Result{}, fmt.Errorf("bench %s %v: %w", bench.Name, j.Spec, err)
 	}
 	m, err := sim.New(cfg, program)
 	if err != nil {
-		return sim.Result{}, fmt.Errorf("bench %s %v: %w", bench.Name, spec, err)
+		return sim.Result{}, fmt.Errorf("bench %s %v: %w", bench.Name, j.Spec, err)
 	}
 	res, err := m.Run()
 	if err != nil {
-		return sim.Result{}, fmt.Errorf("bench %s %v: %w", bench.Name, spec, err)
+		return sim.Result{}, fmt.Errorf("bench %s %v: %w", bench.Name, j.Spec, err)
 	}
 	return res, nil
 }

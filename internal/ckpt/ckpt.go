@@ -267,9 +267,6 @@ func (m *Manager) Kind() Kind { return m.strat.Kind() }
 // Retention returns the number of checkpoints the strategy keeps.
 func (m *Manager) Retention() int { return m.strat.Retention() }
 
-// Retained returns the number of checkpoints currently in the ring.
-func (m *Manager) Retained() int { return len(m.snaps) }
-
 // Amnesic reports whether an ACR handler is attached.
 func (m *Manager) Amnesic() bool { return m.acr != nil }
 

@@ -2,10 +2,8 @@ package ckpt
 
 import (
 	"fmt"
-	"sync"
 
 	"acr/internal/energy"
-	"acr/internal/mem"
 )
 
 // Kind identifies a checkpoint strategy. The zero value is the
@@ -326,43 +324,6 @@ type diffStrategy struct {
 	scratch []int64
 	seen    []uint64 // distinct-word bitmap, cleared after each roll-back
 	spare   [][]int64
-	// shardBufs are the reusable per-shard buffers of the parallel seal
-	// scan (sealScan).
-	shardBufs [][]int64
-}
-
-// sealScanParallelMin is the memory size, in words, below which the seal
-// scan stays serial: goroutine fan-out only pays for itself once shards
-// are big enough to scan.
-const sealScanParallelMin = 1 << 15
-
-// sealScan collects the epoch's dirty words in ascending address order.
-// Shards own disjoint, contiguous address ranges, so each can be scanned
-// by its own goroutine into a reusable per-shard buffer; concatenating the
-// buffers in shard order reproduces the serial AppendDirtyWords walk
-// bit-identically. The gate is config-derived, so the choice of path is
-// deterministic.
-func (d *diffStrategy) sealScan(sys *mem.System, buf []int64) []int64 {
-	n := sys.Shards()
-	if n == 1 || sys.Words() < sealScanParallelMin {
-		return sys.AppendDirtyWords(buf)
-	}
-	if len(d.shardBufs) < n {
-		d.shardBufs = append(d.shardBufs, make([][]int64, n-len(d.shardBufs))...)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			d.shardBufs[i] = sys.AppendDirtyWordsShard(i, d.shardBufs[i][:0])
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		buf = append(buf, d.shardBufs[i]...)
-	}
-	return buf
 }
 
 func (d *diffStrategy) Kind() Kind     { return KindDifferential }
@@ -381,7 +342,7 @@ func (d *diffStrategy) OnFirstStore(*Manager, int, int64, int64) int64 { return 
 func (d *diffStrategy) Predict(*Manager, int64, int64, []int64) int64 { return 0 }
 
 func (d *diffStrategy) Seal(m *Manager, _ int64) SealInfo {
-	d.scratch = d.sealScan(m.sys, d.scratch[:0])
+	d.scratch = m.sys.AppendDirtyWords(d.scratch[:0])
 	n := len(d.scratch)
 	// The delta's values are captured from the establishment flush stream;
 	// only the writes into the image area hit the channel.

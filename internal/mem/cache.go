@@ -208,28 +208,6 @@ func (c *Cache) FlushDirty() int {
 	return n
 }
 
-// FlushDirtyEach is FlushDirty with per-line attribution: fn is invoked
-// with each flushed line's id so the caller can charge the line's home
-// shard controller. The count returned is identical to FlushDirty's; the
-// attribution order follows first-dirtied set order, which only feeds
-// commutative per-shard sums.
-func (c *Cache) FlushDirtyEach(fn func(line int64)) int {
-	n := 0
-	for _, set := range c.dirtySets {
-		base := int(set) * c.ways
-		for w := 0; w < c.ways; w++ {
-			ln := &c.lines[base+w]
-			if ln.dirty && ln.tag > 0 {
-				n++
-				ln.dirty = false
-				fn(ln.tag - 1)
-			}
-		}
-	}
-	c.clearDirtySets()
-	return n
-}
-
 // DirtyLines returns the number of dirty lines without cleaning them.
 func (c *Cache) DirtyLines() int {
 	n := 0

@@ -32,13 +32,6 @@ func (s CoreSet) Add(core int) {
 	s[core>>6] |= 1 << uint(core&63)
 }
 
-// Remove deletes core from the set.
-//
-//acr:spec-safe
-func (s CoreSet) Remove(core int) {
-	s[core>>6] &^= 1 << uint(core&63)
-}
-
 // Or unions t into s.
 //
 //acr:spec-safe
@@ -107,16 +100,4 @@ func (s CoreSet) ForEach(fn func(core int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// Min returns the lowest member, or -1 if the set is empty.
-//
-//acr:spec-safe
-func (s CoreSet) Min() int {
-	for i, w := range s {
-		if w != 0 {
-			return i<<6 + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
 }

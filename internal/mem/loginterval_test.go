@@ -25,15 +25,8 @@ func TestLocalNewIntervalMatchesNaiveClear(t *testing.T) {
 			}
 		}
 
-		// Shard-aware views of the directory state.
 		logBit := func(a int64) bool {
-			sh := s.shardOf(a)
-			off := a - sh.base
-			return sh.logBits[off>>6]&(1<<uint(off&63)) != 0
-		}
-		lastWriterOf := func(line int64) int32 {
-			sh := s.shardOfLine(line)
-			return sh.lastWriter[line-sh.lineBase]
+			return s.logBits[a>>6]&(1<<uint(a&63)) != 0
 		}
 
 		// Reference: clear one bit at a time for every word of every line
@@ -45,7 +38,7 @@ func TestLocalNewIntervalMatchesNaiveClear(t *testing.T) {
 		lw := int64(s.cfg.LineWords)
 		nLines := (int64(words) + lw - 1) / lw
 		for line := int64(0); line < nLines; line++ {
-			writer := lastWriterOf(line)
+			writer := s.lastWriter[line]
 			if writer == 0 || !group.Has(int(writer-1)) {
 				continue
 			}

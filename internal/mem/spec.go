@@ -6,14 +6,13 @@ import (
 
 // SpecView is one core's isolated window onto the System during a
 // speculative parallel round. While a round is open, all System state
-// shared between cores — the shards' dram words, log bits and last-writer
+// shared between cores — the dram words, log bits and last-writer
 // directory entries, comm rows, global stats, the meter — is frozen: the
 // view reads it but never writes it. The core's own writes land in a
 // private overlay, its cache stack mutates for real behind the per-set
 // rollback journal (caches are core-private), and everything else the
 // quantum produces (write log, first-store words, comm observations,
-// energy counts, shard-controller traffic, touched-line sets) is buffered
-// for the commit step.
+// energy counts, touched-line sets) is buffered for the commit step.
 //
 // Bit-identity argument: absent line conflicts with the other quanta of
 // the round, a quantum's speculative execution observes exactly the state
@@ -41,8 +40,8 @@ type SpecView struct {
 	ovVals []int64
 	ovLen  int
 
-	// wlog is the quantum's stores in execution order; applied to the
-	// shards' dram (and last-writer directories) at commit.
+	// wlog is the quantum's stores in execution order; applied to dram
+	// (and the last-writer directory) at commit.
 	wlog []wlogEntry
 
 	// Touched-line sets for conflict detection, each as an open-addressed
@@ -78,12 +77,6 @@ type SpecView struct {
 	commTouched CoreSet
 	commList    []int32
 	commEdges   int64
-
-	// ctrlFill/ctrlWb buffer the per-shard controller traffic of the
-	// quantum's fills and writebacks; merged into the shard ledgers at
-	// commit (direct increments would race across worker goroutines).
-	ctrlFill []int64
-	ctrlWb   []int64
 
 	// statsSnap restores stats.PerCore[core] on abort (the view mutates
 	// that element in place: distinct cores touch distinct elements).
@@ -196,8 +189,6 @@ func NewSpecView(sys *System, core int) *SpecView {
 		commSelf:    NewCoreSet(sys.nCores),
 		commOut:     make([]uint64, sys.nCores*sys.commW),
 		commTouched: NewCoreSet(sys.nCores),
-		ctrlFill:    make([]int64, len(sys.shards)),
-		ctrlWb:      make([]int64, len(sys.shards)),
 	}
 }
 
@@ -229,8 +220,6 @@ func (v *SpecView) Begin() {
 	v.commList = v.commList[:0]
 	v.commTouched.Reset()
 	v.commEdges = 0
-	clear(v.ctrlFill)
-	clear(v.ctrlWb)
 	v.Acc.Reset()
 	v.statsSnap = v.sys.stats.PerCore[v.core]
 	cc := &v.sys.caches[v.core]
@@ -288,8 +277,7 @@ func (v *SpecView) ovPut(addr, val int64) {
 }
 
 // access mirrors System.access against the core's (real, journaled) cache
-// stack, charging the view's accumulator instead of the meter and the
-// per-shard traffic buffers instead of the live controller ledgers.
+// stack, charging the view's accumulator instead of the meter.
 //
 //acr:spec-safe
 func (v *SpecView) access(line int64, store bool) int64 {
@@ -310,7 +298,6 @@ func (v *SpecView) access(line int64, store bool) int64 {
 		if v2Dirty && v2 != victim {
 			st.L2.Writebacks++
 			v.Acc.Add(energy.DRAMWrite, uint64(s.cfg.LineWords))
-			v.ctrlWb[(v2*int64(s.cfg.LineWords))>>s.shardShift] += int64(s.cfg.LineWords)
 		}
 	}
 	v.Acc.Add(energy.L2Access, 1)
@@ -323,11 +310,9 @@ func (v *SpecView) access(line int64, store bool) int64 {
 	if victimDirty {
 		st.L2.Writebacks++
 		v.Acc.Add(energy.DRAMWrite, uint64(s.cfg.LineWords))
-		v.ctrlWb[(victim*int64(s.cfg.LineWords))>>s.shardShift] += int64(s.cfg.LineWords)
 	}
 	st.Fills++
 	v.Acc.Add(energy.DRAMRead, uint64(s.cfg.LineWords))
-	v.ctrlFill[(line*int64(s.cfg.LineWords))>>s.shardShift] += int64(s.cfg.LineWords)
 	return s.cfg.DRAMCycles
 }
 
@@ -344,10 +329,8 @@ func (v *SpecView) observeComm(line int64) {
 		return
 	}
 	s := v.sys
-	sh := s.shardOfLine(line)
-	lline := line - sh.lineBase
-	lw := sh.lastWriter[lline]
-	if lw != 0 && int(lw-1) != v.core && sh.lastWriteIvl[lline] == s.curInterval {
+	lw := s.lastWriter[line]
+	if lw != 0 && int(lw-1) != v.core && s.lastWriteIvl[line] == s.curInterval {
 		w := int(lw - 1)
 		v.commSelf.Add(w)
 		v.commOut[w*s.commW+(v.core>>6)] |= 1 << uint(v.core&63)
@@ -371,8 +354,7 @@ func (v *SpecView) Load(addr int64) (val, cycles int64) {
 	if ov, ok := v.ovGet(addr); ok {
 		return ov, cycles
 	}
-	sh := v.sys.shardOf(addr)
-	return sh.dram[addr-sh.base], cycles
+	return v.sys.dram[addr], cycles
 }
 
 // Store mirrors System.Store speculatively. first is computed against the
@@ -388,16 +370,14 @@ func (v *SpecView) Store(addr, val int64) (old int64, first bool, cycles int64) 
 	cycles = v.access(line, true)
 	v.observeComm(line)
 	old, stored := v.ovGet(addr)
-	sh := s.shardOf(addr)
-	off := addr - sh.base
 	if !stored {
-		old = sh.dram[off]
+		old = s.dram[addr]
 	}
 	v.ovPut(addr, val)
 	v.wlog = append(v.wlog, wlogEntry{addr, val})
 	v.writes.add(line)
 	if !stored {
-		if sh.logBits[off>>6]&(1<<uint(off&63)) == 0 {
+		if s.logBits[addr>>6]&(1<<uint(addr&63)) == 0 {
 			first = true
 			v.firstWords = append(v.firstWords, addr)
 		}
@@ -472,13 +452,6 @@ func (v *SpecView) AssocdOwn(addr int64) bool {
 func (v *SpecView) ReadLines() []int64  { return v.reads.list }
 func (v *SpecView) WriteLines() []int64 { return v.writes.list }
 
-// Touched reports whether the quantum read or wrote line.
-//
-//acr:spec-safe
-func (v *SpecView) Touched(line int64) bool {
-	return v.reads.has(line) || v.writes.has(line)
-}
-
 // Abort discards the round: the cache stack rolls back and the core's stat
 // element is restored. Buffered effects die with the next Begin.
 //
@@ -493,8 +466,8 @@ func (v *SpecView) Abort() {
 // Commit applies the round's buffered effects to the System: dram words
 // and directory entries from the write log (line-disjoint from every other
 // committing quantum, so per-view order is immaterial), interval log bits
-// for the first-stored words, comm rows, shard-controller traffic and
-// global counters, and the energy accumulator. Hook effects (checkpoint
+// for the first-stored words, comm rows and global counters, and the
+// energy accumulator. Hook effects (checkpoint
 // logging, associations) are NOT applied here — the engine replays those
 // through the real hooks in serial merge order.
 //
@@ -506,17 +479,12 @@ func (v *SpecView) Commit() {
 	cc.l2.CommitSpec()
 	lw := int64(s.cfg.LineWords)
 	for _, e := range v.wlog {
-		sh := s.shardOf(e.addr)
-		sh.dram[e.addr-sh.base] = e.val
-		lline := e.addr/lw - sh.lineBase
-		sh.lastWriter[lline] = int32(v.core) + 1
-		sh.lastWriteIvl[lline] = s.curInterval
+		s.dram[e.addr] = e.val
+		s.lastWriter[e.addr/lw] = int32(v.core) + 1
+		s.lastWriteIvl[e.addr/lw] = s.curInterval
 	}
 	for _, addr := range v.firstWords {
-		sh := s.shardOf(addr)
-		off := addr - sh.base
-		sh.logBits[off>>6] |= 1 << uint(off&63)
-		sh.ctrl.LogBitSets++
+		s.logBits[addr>>6] |= 1 << uint(addr&63)
 	}
 	s.stats.LogBitSets += int64(len(v.firstWords))
 	s.stats.CommEdges += v.commEdges
@@ -524,16 +492,6 @@ func (v *SpecView) Commit() {
 	CoreSet(s.comm[v.core*cw : (v.core+1)*cw]).Or(v.commSelf)
 	for _, w := range v.commList {
 		CoreSet(s.comm[int(w)*cw : (int(w)+1)*cw]).Or(CoreSet(v.commOut[int(w)*cw : (int(w)+1)*cw]))
-	}
-	for i, n := range v.ctrlFill {
-		if n != 0 {
-			s.shards[i].ctrl.FillWords += n
-		}
-	}
-	for i, n := range v.ctrlWb {
-		if n != 0 {
-			s.shards[i].ctrl.WritebackWords += n
-		}
 	}
 	s.meter.Merge(&v.Acc)
 }

@@ -44,8 +44,9 @@ func DefaultConfig() Config {
 }
 
 // MaxCores is the sanity ceiling on the simulated core count. It bounds
-// nothing architectural — the sharded directory and multi-word comm bitsets
-// scale past it — but catches configs that would allocate absurd state.
+// nothing architectural — the directory's per-line last-writer tags and the
+// multi-word comm bitsets scale past it — but catches configs that would
+// allocate absurd state.
 const MaxCores = 4096
 
 // ConfigError reports an invalid memory-system or machine-scale
@@ -96,74 +97,28 @@ type Stats struct {
 	FlushedLines int64
 }
 
-// CtrlStats is one shard memory controller's bandwidth ledger, in 64-bit
-// words moved through that controller. Pure observation: the counters ride
-// paths that already charge energy and never feed timing, so results are
-// bit-identical whether or not anything reads them.
-type CtrlStats struct {
-	// FillWords: line fills read from this shard's DRAM slice.
-	FillWords int64
-	// WritebackWords: dirty cache victims written back to this shard.
-	WritebackWords int64
-	// FlushWords: checkpoint-establishment flush traffic landing here.
-	FlushWords int64
-	// LogBitSets: first-store log-bit transitions in this shard's slice of
-	// the directory.
-	LogBitSets int64
-}
-
-// ShardInfo describes one shard's extent and controller activity.
-type ShardInfo struct {
-	Index int
-	// Base is the first word address the shard owns; Words its extent.
-	Base  int64
-	Words int
-	Ctrl  CtrlStats
-}
-
-// shard owns one contiguous, line-aligned slice of the memory plane: its
-// dram words, per-word log bits, per-line last-writer/interval directory
-// entries, and the bandwidth ledger of the memory controller fronting it.
-// Shards are line-disjoint by construction (a cache line never straddles a
-// shard boundary), so shard-local state can be walked concurrently — the
-// differential strategy's seal scan exploits that.
-type shard struct {
-	// base is the first word address owned; lineBase the first global
-	// line index.
-	base     int64
-	lineBase int64
-	dram     []int64
-	// logBits: one bit per word of the shard's slice; set when the word's
-	// old value has been captured (or amnesically omitted) for the current
-	// checkpoint interval (paper §II-A). Tail bits past the slice length
-	// are never set.
-	logBits []uint64
-	// lastWriter[l] = core id + 1 of the last core to store to the shard's
-	// l-th line; 0 if never written. lastWriteIvl[l] is the checkpoint
-	// interval of that store. Both drive communication observation.
-	lastWriter   []int32
-	lastWriteIvl []int32
-	ctrl         CtrlStats
-}
-
-// System is the whole-machine memory subsystem: a line-sharded directory in
-// front of flat word-addressed DRAM. Address space is split into
-// power-of-two, line-aligned contiguous shards (one per memory controller,
-// Table I's cores-per-controller ratio), each owning its words' data, log
-// bits and last-writer entries. Contiguous (rather than interleaved)
-// shard extents keep every address-ordered scan — AppendDirtyWords most
-// critically — bit-identical to the pre-sharding flat arrays.
+// System is the whole-machine memory subsystem: a directory in front of
+// flat word-addressed DRAM. The directory keeps one log bit per word and one
+// last-writer tag per line, each in a flat array indexed by word address or
+// global line. Bandwidth is modelled as uniformly interleaved across the
+// Table I controllers (TransferCycles), so no state is split per controller.
 type System struct {
 	cfg    Config
 	nCores int
 	meter  *energy.Meter
 
-	words  int
-	shards []shard
-	// shardShift: shard index of addr is addr>>shardShift (shards span
-	// 1<<shardShift words).
-	shardShift  uint
-	curInterval int32
+	words int
+	dram  []int64
+	// logBits: one bit per word; set when the word's old value has been
+	// captured (or amnesically omitted) for the current checkpoint
+	// interval (paper §II-A). Tail bits past words are never set.
+	logBits []uint64
+	// lastWriter[l] = core id + 1 of the last core to store to line l; 0
+	// if never written. lastWriteIvl[l] is the checkpoint interval of that
+	// store. Both drive communication observation.
+	lastWriter   []int32
+	lastWriteIvl []int32
+	curInterval  int32
 
 	// comm is the per-core communication bitset for the current interval:
 	// row c (commW words at comm[c*commW:]) holds the cores with which c
@@ -180,35 +135,9 @@ type System struct {
 	allCores CoreSet
 }
 
-// shardLayout picks the shard width: the smallest power of two ≥ 64 words
-// that yields at most one shard per memory controller (rounded up to a
-// power of two). When LineWords is not itself a power of two a single
-// shard covers everything — the line-disjointness invariant must hold and
-// ragged line alignment cannot be guaranteed across interior boundaries.
-func shardLayout(words, lineWords, controllers int) uint {
-	if lineWords&(lineWords-1) != 0 {
-		shift := uint(6)
-		for 1<<shift < words {
-			shift++
-		}
-		return shift
-	}
-	target := 1
-	for target < controllers {
-		target <<= 1
-	}
-	per := (words + target - 1) / target
-	shift := uint(6)
-	for 1<<shift < per || 1<<shift < lineWords {
-		shift++
-	}
-	return shift
-}
-
 // NewSystem builds a memory system with the given number of data words.
-// Invalid scale parameters return a *ConfigError; earlier revisions
-// panicked here (notably on nCores > 64, a hard cap the sharded directory
-// and multi-word comm bitsets remove).
+// Invalid scale parameters return a *ConfigError rather than panicking, so
+// callers can tell configuration mistakes from runtime failures.
 func NewSystem(cfg Config, nCores, words int, meter *energy.Meter) (*System, error) {
 	if nCores <= 0 {
 		return nil, &ConfigError{Reason: fmt.Sprintf("core count %d must be positive", nCores)}
@@ -227,29 +156,14 @@ func NewSystem(cfg Config, nCores, words int, meter *energy.Meter) (*System, err
 		nCores: nCores,
 		meter:  meter,
 		words:  words,
+		dram:   make([]int64, words),
 		commW:  (nCores + 63) / 64,
 		caches: make([]coreCaches, nCores),
 	}
-	s.shardShift = shardLayout(words, cfg.LineWords, s.Controllers())
-	per := 1 << s.shardShift
-	nShards := (words + per - 1) / per
-	s.shards = make([]shard, nShards)
-	for i := range s.shards {
-		base := i * per
-		n := words - base
-		if n > per {
-			n = per
-		}
-		lines := (n + cfg.LineWords - 1) / cfg.LineWords
-		s.shards[i] = shard{
-			base:         int64(base),
-			lineBase:     int64(base / cfg.LineWords),
-			dram:         make([]int64, n),
-			logBits:      make([]uint64, (n+63)/64),
-			lastWriter:   make([]int32, lines),
-			lastWriteIvl: make([]int32, lines),
-		}
-	}
+	lines := (words + cfg.LineWords - 1) / cfg.LineWords
+	s.logBits = make([]uint64, (words+63)/64)
+	s.lastWriter = make([]int32, lines)
+	s.lastWriteIvl = make([]int32, lines)
 	s.comm = make([]uint64, nCores*s.commW)
 	for i := range s.caches {
 		s.caches[i] = coreCaches{l1d: NewCache(cfg.L1D), l2: NewCache(cfg.L2)}
@@ -279,50 +193,21 @@ func (s *System) Stats() Stats {
 	return out
 }
 
-// Shards returns the number of directory shards.
-func (s *System) Shards() int { return len(s.shards) }
-
-// ShardInfo returns shard i's extent and controller ledger.
-func (s *System) ShardInfo(i int) ShardInfo {
-	sh := &s.shards[i]
-	return ShardInfo{Index: i, Base: sh.base, Words: len(sh.dram), Ctrl: sh.ctrl}
-}
-
 // Words returns the size of data memory in words.
 func (s *System) Words() int { return s.words }
 
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// shardOf returns the shard owning addr.
-//
-//acr:spec-safe
-func (s *System) shardOf(addr int64) *shard {
-	return &s.shards[addr>>s.shardShift]
-}
-
-// shardOfLine returns the shard owning the given global line.
-//
-//acr:spec-safe
-func (s *System) shardOfLine(line int64) *shard {
-	return &s.shards[(line*int64(s.cfg.LineWords))>>s.shardShift]
-}
-
 // ReadWord reads memory functionally, without timing or energy effects.
 // Used by program init, checkpoint verification and tests.
-func (s *System) ReadWord(addr int64) int64 {
-	sh := s.shardOf(addr)
-	return sh.dram[addr-sh.base]
-}
+func (s *System) ReadWord(addr int64) int64 { return s.dram[addr] }
 
 // WriteWord writes memory functionally, bypassing caches, timing, energy,
 // log bits and communication tracking. Used by program init and by the
 // recovery handler when restoring state (the restore's cost is charged
 // explicitly by the recovery handler).
-func (s *System) WriteWord(addr, val int64) {
-	sh := s.shardOf(addr)
-	sh.dram[addr-sh.base] = val
-}
+func (s *System) WriteWord(addr, val int64) { s.dram[addr] = val }
 
 //acr:spec-safe
 func (s *System) checkAddr(addr int64) {
@@ -334,7 +219,7 @@ func (s *System) checkAddr(addr int64) {
 // access runs addr through core's cache stack and returns the latency,
 // charging energy as it goes. Dirty victims migrate down the hierarchy:
 // an L1 eviction installs the dirty line into L2; an L2 eviction writes it
-// back to memory, charged to the victim line's home shard controller.
+// back to memory.
 //
 //acr:noalloc
 func (s *System) access(core int, line int64, store bool) int64 {
@@ -355,7 +240,6 @@ func (s *System) access(core int, line int64, store bool) int64 {
 		if v2Dirty && v2 != victim {
 			st.L2.Writebacks++
 			s.meter.Add(energy.DRAMWrite, uint64(s.cfg.LineWords))
-			s.shardOfLine(v2).ctrl.WritebackWords += int64(s.cfg.LineWords)
 		}
 	}
 	s.meter.Add(energy.L2Access, 1)
@@ -369,12 +253,10 @@ func (s *System) access(core int, line int64, store bool) int64 {
 		// Write-back from L2 to memory: one line of words.
 		st.L2.Writebacks++
 		s.meter.Add(energy.DRAMWrite, uint64(s.cfg.LineWords))
-		s.shardOfLine(victim).ctrl.WritebackWords += int64(s.cfg.LineWords)
 	}
 	// Line fill from DRAM.
 	st.Fills++
 	s.meter.Add(energy.DRAMRead, uint64(s.cfg.LineWords))
-	s.shardOfLine(line).ctrl.FillWords += int64(s.cfg.LineWords)
 	return s.cfg.DRAMCycles
 }
 
@@ -387,9 +269,8 @@ func (s *System) Load(core int, addr int64) (val, cycles int64) {
 	s.checkAddr(addr)
 	line := addr / int64(s.cfg.LineWords)
 	cycles = s.access(core, line, false)
-	sh := s.shardOf(addr)
-	s.observeComm(core, sh, line-sh.lineBase)
-	return sh.dram[addr-sh.base], cycles
+	s.observeComm(core, line)
+	return s.dram[addr], cycles
 }
 
 // Store performs a data store by core. It returns the old value of the
@@ -403,32 +284,28 @@ func (s *System) Store(core int, addr, val int64) (old int64, first bool, cycles
 	s.checkAddr(addr)
 	line := addr / int64(s.cfg.LineWords)
 	cycles = s.access(core, line, true)
-	sh := s.shardOf(addr)
-	lline := line - sh.lineBase
-	s.observeComm(core, sh, lline)
-	off := addr - sh.base
-	old = sh.dram[off]
-	sh.dram[off] = val
+	s.observeComm(core, line)
+	old = s.dram[addr]
+	s.dram[addr] = val
 
-	w, b := off>>6, uint(off&63)
-	if sh.logBits[w]&(1<<b) == 0 {
-		sh.logBits[w] |= 1 << b
+	w, b := addr>>6, uint(addr&63)
+	if s.logBits[w]&(1<<b) == 0 {
+		s.logBits[w] |= 1 << b
 		first = true
 		s.stats.LogBitSets++
-		sh.ctrl.LogBitSets++
 	}
-	sh.lastWriter[lline] = int32(core) + 1
-	sh.lastWriteIvl[lline] = s.curInterval
+	s.lastWriter[line] = int32(core) + 1
+	s.lastWriteIvl[line] = s.curInterval
 	return old, first, cycles
 }
 
 // observeComm records a communication edge between core and the last
-// writer of the shard-local line, if that write happened this interval.
+// writer of line, if that write happened this interval.
 //
 //acr:noalloc
-func (s *System) observeComm(core int, sh *shard, lline int64) {
-	lw := sh.lastWriter[lline]
-	if lw != 0 && int(lw-1) != core && sh.lastWriteIvl[lline] == s.curInterval {
+func (s *System) observeComm(core int, line int64) {
+	lw := s.lastWriter[line]
+	if lw != 0 && int(lw-1) != core && s.lastWriteIvl[line] == s.curInterval {
 		w := int(lw - 1)
 		s.comm[core*s.commW+(w>>6)] |= 1 << uint(w&63)
 		s.comm[w*s.commW+(core>>6)] |= 1 << uint(core&63)
@@ -481,38 +358,26 @@ func (s *System) CommGroups() []CoreSet {
 // group checkpoints its own data).
 func (s *System) NewInterval(group CoreSet, allCores bool) {
 	if allCores {
-		for i := range s.shards {
-			clear(s.shards[i].logBits)
-		}
+		clear(s.logBits)
 		clear(s.comm)
 		s.curInterval++
 		return
 	}
 	// Local: clear log bits of words on lines last written by the group.
-	// A line is LineWords contiguous bits of a shard's logBits (lines
-	// never straddle shards), so the clear is a handful of masked
-	// whole-uint64 writes per line, not a per-word loop.
-	lw := s.cfg.LineWords
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for line, writer := range sh.lastWriter {
-			if writer == 0 || !group.Has(int(writer-1)) {
-				continue
-			}
-			base := int64(line) * int64(lw)
-			end := base + int64(lw)
-			if end > int64(len(sh.dram)) {
-				end = int64(len(sh.dram))
-			}
-			for a := base; a < end; {
-				lo := uint(a & 63)
-				n := int64(64 - lo)
-				if a+n > end {
-					n = end - a
-				}
-				sh.logBits[a>>6] &^= (^uint64(0) >> (64 - uint(n))) << lo
-				a += n
-			}
+	// A line is LineWords contiguous bits of logBits, so the clear is a
+	// handful of masked whole-uint64 writes per line, not a per-word loop.
+	lw := int64(s.cfg.LineWords)
+	for line, writer := range s.lastWriter {
+		if writer == 0 || !group.Has(int(writer-1)) {
+			continue
+		}
+		base := int64(line) * lw
+		end := min(base+lw, int64(s.words))
+		for a := base; a < end; {
+			lo := uint(a & 63)
+			n := min(int64(64-lo), end-a)
+			s.logBits[a>>6] &^= (^uint64(0) >> (64 - uint(n))) << lo
+			a += n
 		}
 	}
 	for c := 0; c < s.nCores; c++ {
@@ -524,21 +389,15 @@ func (s *System) NewInterval(group CoreSet, allCores bool) {
 }
 
 // FlushDirty cleans all dirty lines in the cache stacks of the cores in
-// group, charging DRAM write energy and each line's home shard controller,
-// and returns the number of lines flushed. This models the write-back of
-// dirty data when a checkpoint is established.
+// group, charging DRAM write energy, and returns the number of lines
+// flushed. This models the write-back of dirty data when a checkpoint is
+// established.
 func (s *System) FlushDirty(group CoreSet) int {
 	total := 0
-	charge := func(line int64) {
-		s.shardOfLine(line).ctrl.FlushWords += int64(s.cfg.LineWords)
-	}
 	for c := 0; c < s.nCores; c++ {
-		if !group.Has(c) {
-			continue
+		if group.Has(c) {
+			total += s.caches[c].l1d.FlushDirty() + s.caches[c].l2.FlushDirty()
 		}
-		n := s.caches[c].l1d.FlushDirtyEach(charge)
-		n += s.caches[c].l2.FlushDirtyEach(charge)
-		total += n
 	}
 	s.stats.FlushedLines += int64(total)
 	s.meter.Add(energy.DRAMWrite, uint64(total*s.cfg.LineWords))
@@ -547,30 +406,15 @@ func (s *System) FlushDirty(group CoreSet) int {
 
 // AppendDirtyWords appends to buf the addresses of every word whose log
 // bit is set — the words updated since the interval's log bits were last
-// cleared — and returns the extended slice, in ascending address order
-// (shards are contiguous and walked in order, so the scan is bit-identical
-// to the pre-sharding flat array's). The scan is pure observation: no
-// timing, energy or log-bit effect. The differential checkpoint strategy
-// uses the log-bit array as its epoch dirty bitmap, scanning it at
-// establishment (before NewInterval clears it) to capture the epoch's
-// delta.
+// cleared — and returns the extended slice, in ascending address order.
+// The scan is pure observation: no timing, energy or log-bit effect. The
+// differential checkpoint strategy uses the log-bit array as its epoch
+// dirty bitmap, scanning it at establishment (before NewInterval clears
+// it) to capture the epoch's delta.
 func (s *System) AppendDirtyWords(buf []int64) []int64 {
-	for i := range s.shards {
-		buf = s.AppendDirtyWordsShard(i, buf)
-	}
-	return buf
-}
-
-// AppendDirtyWordsShard is AppendDirtyWords restricted to shard i's slice
-// of the address space. Shards are word-disjoint, so distinct shards may
-// be scanned concurrently (the differential strategy seals shard-parallel);
-// concatenating the per-shard results in shard order reproduces
-// AppendDirtyWords exactly.
-func (s *System) AppendDirtyWordsShard(i int, buf []int64) []int64 {
-	sh := &s.shards[i]
-	for w, mask := range sh.logBits {
+	for w, mask := range s.logBits {
 		for mask != 0 {
-			buf = append(buf, sh.base+int64(w*64)+int64(bits.TrailingZeros64(mask)))
+			buf = append(buf, int64(w*64)+int64(bits.TrailingZeros64(mask)))
 			mask &= mask - 1
 		}
 	}
@@ -585,10 +429,7 @@ func (s *System) SnapshotWords(buf []int64) []int64 {
 		buf = make([]int64, s.words)
 	}
 	buf = buf[:s.words]
-	for i := range s.shards {
-		sh := &s.shards[i]
-		copy(buf[sh.base:], sh.dram)
-	}
+	copy(buf, s.dram)
 	return buf
 }
 

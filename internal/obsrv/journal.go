@@ -7,6 +7,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"acr/internal/telemetry"
 )
 
 // journalLine is one JSONL journal entry: a wall-clock stamp plus the run
@@ -67,9 +69,11 @@ func (g *Registry) appendJournal(rec RunRecord) {
 
 // LoadJournal folds an existing journal file into the registry: later
 // lines for a key supersede earlier ones, and records that were still
-// running when their process died load as StatusInterrupted. A missing
-// file is not an error (first run with a fresh journal path). Loaded runs
-// have empty flight rings — event history is in-memory only.
+// running when their process died load as StatusInterrupted. A line whose
+// metrics snapshot would not import (a histogram without buckets, bucket
+// counts that do not match the bounds, …) is an error naming the line. A
+// missing file is not an error (first run with a fresh journal path).
+// Loaded runs have empty flight rings — event history is in-memory only.
 func (g *Registry) LoadJournal(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -96,6 +100,11 @@ func (g *Registry) LoadJournal(path string) error {
 		rec := line.Record
 		if rec.Key == "" {
 			return fmt.Errorf("obsrv: journal %s line %d: record without key", path, n)
+		}
+		// The observatory serves and aggregates the snapshot, so it must
+		// pass the checks a live import makes.
+		if err := telemetry.NewRegistry().ImportSnapshot(rec.Metrics, "", ""); err != nil {
+			return fmt.Errorf("obsrv: journal %s line %d: %w", path, n, err)
 		}
 		if rec.Status == StatusRunning {
 			rec.Status = StatusInterrupted

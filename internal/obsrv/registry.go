@@ -185,8 +185,16 @@ type RunHandle struct {
 	st *runState
 }
 
-// Observers implements bench.JobObservation.
+// Observers implements bench.JobObservation. The runner asks once per
+// machine execution, so the run's metrics registry and collector restart
+// here: the final snapshot describes the last (converged) execution, not
+// the sum of calibration attempts. The flight ring keeps running — its
+// contract is recent activity.
 func (h *RunHandle) Observers() []sim.Observer {
+	h.st.mu.Lock()
+	h.st.reg = telemetry.NewRegistry()
+	h.st.col = telemetry.NewCollector(h.st.reg)
+	h.st.mu.Unlock()
 	return []sim.Observer{&runObserver{st: h.st}}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"acr/internal/bench"
 	"acr/internal/sim"
+	"acr/internal/telemetry"
 	"acr/internal/workloads"
 )
 
@@ -220,5 +221,70 @@ func TestRegistryCountByStatusAndDump(t *testing.T) {
 	})
 	if dump.Len() == 0 {
 		t.Fatal("DumpFlight wrote nothing for a run with events")
+	}
+}
+
+// execCounting wraps a lifecycle and counts the machine executions its
+// jobs perform: each completed execution hands its scheduler statistics to
+// the attached observers.
+type execCounting struct {
+	bench.Lifecycle
+	execs int
+}
+
+func (c *execCounting) JobBegin(j bench.Job, key string, shared bool) bench.JobObservation {
+	return countedObservation{c.Lifecycle.JobBegin(j, key, shared), c}
+}
+
+func (c *execCounting) OnEvent(sim.Event)                {}
+func (c *execCounting) ObserveSchedStats(sim.SchedStats) { c.execs++ }
+
+type countedObservation struct {
+	bench.JobObservation
+	c *execCounting
+}
+
+func (o countedObservation) Observers() []sim.Observer {
+	return append(o.JobObservation.Observers(), o.c)
+}
+
+// TestRegistryMetricsDescribeConvergedRun: a checkpointed RunAll job
+// calibrates its period over several executions, yet the run's
+// event-driven metric families must describe only the converged one —
+// exactly what a fresh collector sees through Runner.RunObserved.
+func TestRegistryMetricsDescribeConvergedRun(t *testing.T) {
+	j := bench.Job{Bench: "is", Params: bench.Params{Threads: 4, Class: workloads.ClassS}, Spec: bench.ReCkptE}
+
+	g, err := NewRegistry(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	lc := &execCounting{Lifecycle: g}
+	r := bench.NewRunner()
+	r.Lifecycle = lc
+	if _, err := r.RunAll([]bench.Job{j}); err != nil {
+		t.Fatal(err)
+	}
+	if lc.execs < 2 {
+		t.Fatalf("job ran %d execution(s); the test needs a calibrating job", lc.execs)
+	}
+	rec, ok := g.Get(j.KeyString())
+	if !ok || rec.Status != StatusDone {
+		t.Fatalf("run record: ok=%v %+v", ok, rec)
+	}
+	got := make(map[string]telemetry.SnapshotFamily)
+	for _, f := range rec.Metrics {
+		got[f.Name] = f
+	}
+
+	reg := telemetry.NewRegistry()
+	if _, err := bench.NewRunner().RunObserved(j.Bench, j.Params, j.Spec, telemetry.NewCollector(reg)); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range reg.Snapshot() {
+		if !reflect.DeepEqual(got[want.Name], want) {
+			t.Errorf("%s over %d executions:\n got  %+v\n want %+v", want.Name, lc.execs, got[want.Name], want)
+		}
 	}
 }

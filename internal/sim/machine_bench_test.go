@@ -73,7 +73,7 @@ func benchWorkersDim() []int {
 
 // BenchmarkMachineRun measures the simulator's hot loop — the quantum-
 // batched scheduler plus core stepping — at the paper's three machine
-// scales plus the sharded plane's 128/256-core rows, with and without
+// scales plus 128/256-core rows, with and without
 // (amnesic) checkpointing, serial and through the parallel engine. The
 // reported metric is wall-clock per simulated run; sim-MIPS puts it in
 // simulator terms.

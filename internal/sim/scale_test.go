@@ -14,7 +14,7 @@ import (
 // more cores than the memory plane supports surfaces a typed
 // *mem.ConfigError through sim.New — it must never panic, and the error must
 // be matchable with errors.As so callers (acrsim, bench sweeps) can report
-// the limit instead of crashing. Before the sharded directory this was a
+// the limit instead of crashing. Before multi-word core sets this was a
 // panic at 65 cores; now 65 constructs fine and only > mem.MaxCores errors.
 func TestConfigErrorThroughNew(t *testing.T) {
 	p := testKernel(4, 8, 1)
@@ -63,9 +63,9 @@ func TestLegacyLimitLifted(t *testing.T) {
 // 256-core machines: for each scale, every checkpoint strategy crossed with
 // workers 1/4 and the quantum coalescer must reproduce the serial
 // interpreter bit-for-bit — the full Result and every
-// data-memory word. This is the acceptance gate for the sharded memory plane
-// and the grouped scheduler queue: any shard-ownership or pick-order bug at
-// scale shows up as a diverging cycle count or memory word here.
+// data-memory word. This is the acceptance gate for the memory plane and
+// the grouped scheduler queue at scale: any directory or pick-order bug
+// shows up as a diverging cycle count or memory word here.
 func TestScaleBitIdentityFuzz(t *testing.T) {
 	coreChoices := []int{128, 256}
 	if testing.Short() {

@@ -67,7 +67,7 @@ func BadControl() {
 	defer f() // want "defer allocates its frame record"
 }
 
-// shard mimics one slice of the line-sharded memory plane: a dirty-line
+// shard mimics one slice of a partitioned memory plane: a dirty-line
 // scratch list sealed into each checkpoint.
 type shard struct {
 	dirty  []int64
@@ -95,7 +95,7 @@ func BadShardSeal(shards []shard, ck int64) []func() {
 }
 
 // GoodShardSeal seals every shard in place: no closures, no growth — the
-// shape the sharded memory plane's checkpoint path must keep.
+// shape a checkpoint path must keep.
 //
 //acr:noalloc
 func GoodShardSeal(shards []shard, ck int64) {
