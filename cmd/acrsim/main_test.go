@@ -102,3 +102,24 @@ func TestStrategyFlagParsesEveryKind(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseSpec: parseSpec never panics, and every name it accepts
+// round-trips — the spec's rendered name parses back to the same spec.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{"NoCkpt", "ReCkpt_E", "Ckpt_NE,Loc", "reckpteloc", "AutoCkpt_NE", "tierckpt_e"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		spec, err := parseSpec(name)
+		if err != nil {
+			return
+		}
+		back, err := parseSpec(spec.String())
+		if err != nil {
+			t.Fatalf("parseSpec(%q) = %+v renders %q, which does not parse: %v", name, spec, spec.String(), err)
+		}
+		if back != spec {
+			t.Fatalf("parseSpec(%q) = %+v renders %q, which parses to %+v", name, spec, spec.String(), back)
+		}
+	})
+}

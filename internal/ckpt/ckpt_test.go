@@ -370,3 +370,47 @@ func TestStallAsymmetry(t *testing.T) {
 		t.Errorf("log stall = %d", got)
 	}
 }
+
+// TestDifferentialSealImageMatchesMemory pins the differential strategy's
+// image ring across the recycled-image patch and the post-rollback spare
+// path: after every seal the newest image must equal memory.
+func TestDifferentialSealImageMatchesMemory(t *testing.T) {
+	r := newKindRig(t, KindDifferential, Global, 2)
+	d := r.mgr.strat.(*diffStrategy)
+	seal := func(step string, time int64) {
+		t.Helper()
+		r.establish(t, time, 2)
+		want := r.sys.SnapshotWords(nil)
+		for a, w := range want {
+			if d.images[0][a] != w {
+				t.Fatalf("%s: image[%d] = %d, memory holds %d", step, a, d.images[0][a], w)
+			}
+		}
+	}
+	r.store(0, 10, 1)
+	r.store(1, 500, 2)
+	seal("seal 1", 1000)
+	r.store(0, 11, 3)
+	r.store(1, 500, 4)
+	seal("seal 2", 2000)
+	r.store(0, 10, 5)
+	r.store(0, 12, 6)
+	seal("seal 3 (recycled)", 3000)
+
+	r.store(1, 13, 7)
+	target, err := r.mgr.SafeTarget(3500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.mgr.Rollback(target, 2); err != nil {
+		t.Fatal(err)
+	}
+	r.store(0, 14, 8)
+	r.store(1, 10, 9)
+	seal("seal after rollback (spare)", 4000)
+	r.store(0, 14, 10)
+	r.store(1, 501, 11)
+	seal("seal 5 (recycled)", 5000)
+	r.store(0, 10, 12)
+	seal("seal 6 (recycled)", 6000)
+}

@@ -355,9 +355,16 @@ func (d *diffStrategy) Seal(m *Manager, _ int64) SealInfo {
 	// ring (index 0); the delta list lands at ring interval 1.
 	var img []int64
 	if len(d.images) >= d.Retention() {
+		// The recycled oldest image differs from the newest only at the
+		// words the retained deltas list: patch those instead of copying
+		// all of memory.
 		img = d.images[len(d.images)-1]
 		d.images = d.images[:len(d.images)-1]
-		copy(img, d.images[0])
+		for _, delta := range d.deltas {
+			for _, a := range delta {
+				img[a] = d.images[0][a]
+			}
+		}
 	} else if len(d.spare) > 0 {
 		img = d.spare[len(d.spare)-1]
 		d.spare = d.spare[:len(d.spare)-1]

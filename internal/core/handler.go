@@ -69,6 +69,26 @@ func (h *Handler) AddrMap() *AddrMap { return h.addrMap }
 // Threshold returns the configured Slice-length threshold.
 func (h *Handler) Threshold() int { return h.cfg.Threshold }
 
+// MaxSliceLen returns the largest Slice-length cap any ASSOC-ADDR site
+// compiles under: the policy's cap (Threshold, or Cost.MaxLen under the cost
+// policy), raised by positive SitePlan entries. No recipe deeper than it can
+// ever be embedded (slice.Tracker.LimitDepth).
+func (h *Handler) MaxSliceLen() int {
+	n := h.policyCap()
+	for _, plan := range h.cfg.SitePlan {
+		n = max(n, int(plan))
+	}
+	return n
+}
+
+// policyCap is the Slice-length cap of a site the SitePlan leaves alone.
+func (h *Handler) policyCap() int {
+	if h.cfg.Policy == PolicyCost {
+		return h.cfg.Cost.MaxLen
+	}
+	return h.cfg.Threshold
+}
+
 // OnAssoc processes an ASSOC-ADDR: it compiles the stored value's Slice
 // and, if the embedding policy accepts it, records the association. The
 // AddrMap insertion is buffered off the critical path, so no extra stall is
@@ -78,10 +98,7 @@ func (h *Handler) Threshold() int { return h.cfg.Threshold }
 // when one is available, so the steady-state association path performs no
 // heap allocation.
 func (h *Handler) OnAssoc(core, pc int, addr int64, recipe slice.Ref) int64 {
-	cap := h.cfg.Threshold
-	if h.cfg.Policy == PolicyCost {
-		cap = h.cfg.Cost.MaxLen
-	}
+	cap := h.policyCap()
 	if h.cfg.SitePlan != nil && pc >= 0 && pc < len(h.cfg.SitePlan) {
 		switch plan := h.cfg.SitePlan[pc]; {
 		case plan < 0:

@@ -101,6 +101,11 @@ type Core struct {
 	// are skipped at zero cost, keeping the baseline binary honest.
 	AssocEnabled bool
 
+	// SliceRelevant, when non-nil, marks the pcs whose ALU or load result a
+	// Slice can read (analysis.SliceRelevance): Step and SpecStep report
+	// only those to the tracker. Nil reports every one.
+	SliceRelevant []bool
+
 	lastStoreAddr int64
 	lastStoreReg  isa.Reg
 
@@ -201,7 +206,7 @@ func (c *Core) Step(p *prog.Program, m *mem.System, tr *slice.Tracker, hooks Hoo
 		} else {
 			c.accInt++
 		}
-		if tr != nil {
+		if tr != nil && (c.SliceRelevant == nil || c.SliceRelevant[c.PC]) {
 			tr.OnALU(c.ID, in)
 		}
 		c.quarters++
@@ -212,7 +217,7 @@ func (c *Core) Step(p *prog.Program, m *mem.System, tr *slice.Tracker, hooks Hoo
 		if in.Rd != 0 {
 			c.Regs[in.Rd] = val
 		}
-		if tr != nil {
+		if tr != nil && (c.SliceRelevant == nil || c.SliceRelevant[c.PC]) {
 			tr.OnLoad(c.ID, in.Rd, val)
 		}
 		c.quarters += lat * qPerCycle

@@ -122,7 +122,7 @@ func (c *Core) SpecStep(p *prog.Program, sv *mem.SpecView, tr *slice.Tracker, ho
 		} else {
 			c.accInt++
 		}
-		if tr != nil {
+		if tr != nil && (c.SliceRelevant == nil || c.SliceRelevant[c.PC]) {
 			tr.OnALU(c.ID, in)
 		}
 		c.quarters++
@@ -133,7 +133,7 @@ func (c *Core) SpecStep(p *prog.Program, sv *mem.SpecView, tr *slice.Tracker, ho
 		if in.Rd != 0 {
 			c.Regs[in.Rd] = val
 		}
-		if tr != nil {
+		if tr != nil && (c.SliceRelevant == nil || c.SliceRelevant[c.PC]) {
 			tr.OnLoad(c.ID, in.Rd, val)
 		}
 		c.quarters += lat * qPerCycle

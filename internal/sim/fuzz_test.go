@@ -68,8 +68,10 @@ func randomProgram(rng *rand.Rand, threads int) *prog.Program {
 
 // TestFuzzRecoveryInvisible is the repository's core end-to-end property:
 // for random programs, random checkpoint periods, random error schedules,
-// and every configuration (global/local × plain/amnesic), the final memory
-// image is bit-identical to the error-free uncheckpointed run.
+// and every configuration (global/local × every strategy), the final memory
+// image is bit-identical to the error-free uncheckpointed run. Each
+// configuration also runs with full Slice tracking (trackAll) and at 4
+// workers, and every run must reproduce the serial filtered one exactly.
 func TestFuzzRecoveryInvisible(t *testing.T) {
 	trials := 25
 	if testing.Short() {
@@ -119,20 +121,13 @@ func TestFuzzRecoveryInvisible(t *testing.T) {
 				if errs > 0 {
 					cfg.Errors = fault.Uniform(errs, refRes.Cycles, period/2)
 				}
-				m, err := New(cfg, build())
-				if err != nil {
-					t.Fatalf("trial %d: %v", trial, err)
-				}
-				res, err := m.Run()
-				if err != nil {
-					t.Fatalf("trial %d mode=%v strategy=%v: %v", trial, mode, kind, err)
-				}
+				label := "trial " + itoa(trial) + " mode=" + mode.String() + " strategy=" + kind.String()
+				res, got := checkTrackAllInvisible(t, label, cfg, build())
 				if errs > 0 && res.Ckpt.Recoveries == 0 {
 					// An error may land after completion for very
 					// short runs; tolerate but note.
 					t.Logf("trial %d: no recovery triggered (run too short)", trial)
 				}
-				got := memWords(m, build().DataWords)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("trial %d mode=%v strategy=%v errs=%d: memory differs at %d: %d vs %d",

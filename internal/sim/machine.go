@@ -98,6 +98,13 @@ type Config struct {
 	// survives only as the reference the package's bit-identity tests
 	// compare against; nothing outside package sim can set it.
 	noCoalesce bool
+	// trackAll reports every ALU result and load to an uncapped Slice
+	// tracker: the static relevance filter (analysis.SliceRelevance) and
+	// the recipe depth cap (slice.Tracker.LimitDepth) are both off. Neither
+	// changes what any ASSOC-ADDR site compiles, so like noCoalesce this
+	// survives only as the reference the package's bit-identity tests
+	// compare against.
+	trackAll bool
 
 	// RecordTimeline retains checkpoint/recovery events in the Result.
 	RecordTimeline bool
@@ -342,8 +349,19 @@ func New(cfg Config, p *prog.Program) (*Machine, error) {
 		}
 		m.tracker = slice.NewTracker(cfg.Cores)
 		m.handler = acr.NewHandler(cfg.ACR, m.tracker, m.meter)
+		// Track only what a site can compile: the defs a Slice can read,
+		// and recipes no deeper than the largest site cap.
+		var relevant []bool
+		if !cfg.trackAll {
+			relevant, err = analysis.SliceRelevance(p.Code, p.Entry, cfg.ACR.SitePlan)
+			if err != nil {
+				return nil, fmt.Errorf("sim: slice relevance analysis: %w", err)
+			}
+			m.tracker.LimitDepth(m.handler.MaxSliceLen())
+		}
 		for _, c := range m.cores {
 			c.AssocEnabled = true
+			c.SliceRelevant = relevant
 			m.tracker.ResetCore(c.ID, &c.Regs)
 		}
 	}

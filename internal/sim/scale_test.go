@@ -62,10 +62,11 @@ func TestLegacyLimitLifted(t *testing.T) {
 // TestScaleBitIdentityFuzz extends the bit-identity fuzz oracle to 128- and
 // 256-core machines: for each scale, every checkpoint strategy crossed with
 // workers 1/4 and the quantum coalescer must reproduce the serial
-// interpreter bit-for-bit — the full Result and every
-// data-memory word. This is the acceptance gate for the memory plane and
-// the grouped scheduler queue at scale: any directory or pick-order bug
-// shows up as a diverging cycle count or memory word here.
+// interpreter bit-for-bit — the full Result and every data-memory word —
+// and so must full Slice tracking (trackAll) at workers 1 and 4 for the
+// amnesic-family strategies. This is the acceptance gate for the memory
+// plane and the grouped scheduler queue at scale: any directory or
+// pick-order bug shows up as a diverging cycle count or memory word here.
 func TestScaleBitIdentityFuzz(t *testing.T) {
 	coreChoices := []int{128, 256}
 	if testing.Short() {
@@ -106,6 +107,7 @@ func TestScaleBitIdentityFuzz(t *testing.T) {
 
 			pres, pmem, _ := runWorkers(t, cfg, p, 4)
 			checkBitIdentical(t, label+"/workers=4", want, pres, wantMem, pmem)
+			checkTrackAll(t, label, cfg, p, want, wantMem)
 		}
 	}
 }

@@ -112,7 +112,13 @@ func TestLoadsCutSlices(t *testing.T) {
 
 func TestOpaquePropagates(t *testing.T) {
 	s := newRegSim()
-	s.t.MarkOpaque(0, 1)
+	// r1 goes opaque under a depth cap of 2; lifting the cap again shows
+	// the opaque operand, not depth, keeps r2 from compiling.
+	s.t.LimitDepth(2)
+	s.exec(isa.Instr{Op: isa.LI, Rd: 1, Imm: 1})
+	s.exec(isa.Instr{Op: isa.ADDI, Rd: 1, Rs: 1, Imm: 1})
+	s.exec(isa.Instr{Op: isa.ADDI, Rd: 1, Rs: 1, Imm: 1})
+	s.t.LimitDepth(SatSize)
 	s.exec(isa.Instr{Op: isa.ADDI, Rd: 2, Rs: 1, Imm: 1})
 	if _, ok := s.t.Compile(0, s.t.Recipe(0, 2), 64); ok {
 		t.Error("op over opaque child must be opaque")
@@ -376,9 +382,11 @@ func TestStaticSliceRedefinitionShadows(t *testing.T) {
 	}
 }
 
+// TestTrackerSetLiveIn checks that an externally produced value — a load
+// result or a restored register — serves as a Slice input.
 func TestTrackerSetLiveIn(t *testing.T) {
 	tr := NewTracker(1)
-	tr.SetLiveIn(0, 4, 1234)
+	tr.OnLoad(0, 4, 1234)
 	tr.OnALU(0, isa.Instr{Op: isa.ADDI, Rd: 5, Rs: 4, Imm: 1})
 	c, ok := tr.Compile(0, tr.Recipe(0, 5), 10)
 	if !ok || c.Eval(nil) != 1235 {

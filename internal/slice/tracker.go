@@ -46,11 +46,16 @@ type node struct {
 	kind nodeKind
 	op   isa.Op
 	size uint8 // saturating unrolled instruction count
-	a    Ref
-	b    Ref
-	c    Ref
-	imm  int64
-	val  int64 // captured value for kindInput leaves
+	// depth is the longest op chain from the node to a leaf. Every op on
+	// that chain is a distinct DAG node, so a compile emits at least depth
+	// ops: a recipe deeper than a cap can never compile under it. It fits
+	// the byte of padding after size, keeping the node at 32 bytes.
+	depth uint8
+	a     Ref
+	b     Ref
+	c     Ref
+	imm   int64
+	val   int64 // captured value for kindInput leaves
 }
 
 // shard is one core's private recipe store. Recipes never reference nodes
@@ -93,6 +98,15 @@ type shard struct {
 // Tracker maintains per-core, per-register recipes. It is the simulator's
 // stand-in for the paper's compiler pass plus the input-operand buffer.
 //
+// The tracker sees only the instructions its caller reports. The machine
+// reports just the ALU results and loads a Slice can read
+// (analysis.SliceRelevance); a register whose defining instruction went
+// unreported holds a stale recipe, which no ASSOC-ADDR site reads before the
+// register is next redefined. LimitDepth additionally turns every recipe too
+// deep to compile under any site's cap into the opaque sentinel. A tracker
+// fresh from NewTracker is uncapped and is the reference both are checked
+// against.
+//
 // The per-instruction path (OnALU/OnLoad → push) appends into a pre-sized
 // per-core arena and performs no other work; arenas are kept flat by
 // periodic compaction, which retains only nodes reachable from register
@@ -113,6 +127,9 @@ type shard struct {
 // commit, serially.
 type Tracker struct {
 	shards []shard
+	// maxDepth is the deepest recipe OnALU keeps; deeper ones become
+	// opaque (LimitDepth).
+	maxDepth int
 
 	// cTab is the epoch-stamped visited table reused by Compile.
 	cTab compileScratch
@@ -132,7 +149,7 @@ const minCompactLimit = 1 << 11
 // NewTracker returns a tracker for nCores cores with all registers holding
 // the zero recipe (registers are architecturally zero at program start).
 func NewTracker(nCores int) *Tracker {
-	t := &Tracker{shards: make([]shard, nCores)}
+	t := &Tracker{shards: make([]shard, nCores), maxDepth: SatSize}
 	limit := arenaBudget / nCores
 	if limit < minCompactLimit {
 		limit = minCompactLimit
@@ -141,7 +158,7 @@ func NewTracker(nCores int) *Tracker {
 		s := &t.shards[i]
 		s.compactLimit = limit
 		s.arena = make([]node, 0, limit/4)
-		s.opaque = s.push(node{kind: kindOpaque, size: SatSize})
+		s.opaque = s.push(node{kind: kindOpaque, size: SatSize, depth: SatSize})
 		s.zero = s.push(node{kind: kindZero, size: 0})
 		for r := range s.recipes {
 			s.recipes[r] = s.zero
@@ -178,6 +195,15 @@ func (s *shard) setRecipe(reg isa.Reg, r Ref) {
 	}
 }
 
+// LimitDepth makes OnALU replace every recipe deeper than maxOps by the
+// opaque sentinel. A compile emits at least as many ops as its recipe is
+// deep, so with maxOps the largest cap any Slice is compiled under, every
+// compile decides exactly as it would on an uncapped tracker; operations
+// over the sentinel then stop at their first operand instead of pushing.
+func (t *Tracker) LimitDepth(maxOps int) {
+	t.maxDepth = min(maxOps, SatSize)
+}
+
 // Recipe returns the recipe of reg on core.
 //
 //acr:spec-safe
@@ -201,15 +227,6 @@ func (t *Tracker) OnLoad(core int, rd isa.Reg, val int64) {
 	s.setRecipe(rd, s.push(node{kind: kindInput, val: val}))
 }
 
-// SetLiveIn marks rd as holding an externally-produced value val (e.g.
-// restored from a checkpoint). Like a load result, it becomes a buffered
-// input leaf.
-//
-//acr:spec-safe
-func (t *Tracker) SetLiveIn(core int, rd isa.Reg, val int64) {
-	t.OnLoad(core, rd, val)
-}
-
 // ResetCore resets every register of core to input leaves capturing vals
 // (vals[0] is ignored; r0 stays the zero recipe).
 func (t *Tracker) ResetCore(core int, vals *[isa.NumRegs]int64) {
@@ -222,14 +239,11 @@ func (t *Tracker) ResetCore(core int, vals *[isa.NumRegs]int64) {
 	}
 }
 
-// OnALU updates rd's recipe for the executed ALU instruction in.
+// OnALU updates rd's recipe for the executed ALU instruction in. Every ALU
+// op writes in.Rd (a write to r0 is discarded by setRecipe).
 //
 //acr:spec-safe
 func (t *Tracker) OnALU(core int, in isa.Instr) {
-	rd, ok := in.DstReg()
-	if !ok {
-		return
-	}
 	s := &t.shards[core]
 	var a, b, c Ref = noRef, noRef, noRef
 	switch in.Op {
@@ -246,34 +260,28 @@ func (t *Tracker) OnALU(core int, in isa.Instr) {
 		a = s.recipe(in.Rs)
 		b = s.recipe(in.Rt)
 	}
-	size := 1
+	size, depth := 1, 0
 	for _, ch := range [3]Ref{a, b, c} {
 		if ch == noRef {
 			continue
 		}
 		n := s.at(ch)
 		if n.kind == kindOpaque {
-			s.setRecipe(rd, s.opaque)
+			s.setRecipe(in.Rd, s.opaque)
 			return
 		}
 		size += int(n.size)
+		depth = max(depth, int(n.depth))
 	}
-	if size >= SatSize {
-		s.setRecipe(rd, s.opaque)
+	depth++
+	if size >= SatSize || depth > t.maxDepth {
+		s.setRecipe(in.Rd, s.opaque)
 		return
 	}
-	s.setRecipe(rd, s.push(node{
-		kind: kindOp, op: in.Op, size: uint8(size),
+	s.setRecipe(in.Rd, s.push(node{
+		kind: kindOp, op: in.Op, size: uint8(size), depth: uint8(depth),
 		a: a, b: b, c: c, imm: in.Imm,
 	}))
-}
-
-// MarkOpaque forces rd's recipe to the unrecomputable sentinel.
-//
-//acr:spec-safe
-func (t *Tracker) MarkOpaque(core int, rd isa.Reg) {
-	s := &t.shards[core]
-	s.setRecipe(rd, s.opaque)
 }
 
 // ArenaLen reports the number of live arena nodes across all shards
