@@ -10,7 +10,8 @@
 //
 // -j sizes the driver's job pool (distinct machines in flight); -workers
 // sets the intra-run worker count per machine (the deterministic parallel
-// engine, bit-identical to serial execution).
+// engine, bit-identical to serial execution). Amnesic strategies always run
+// serial quanta, so their results are bit-identical at every worker count.
 //
 // -serve starts the HTTP observatory (internal/obsrv) on ADDR before the
 // sweep: every job registers in the live run registry, /metrics exposes the
@@ -57,7 +58,7 @@ func main() {
 	class := flag.String("class", "W", "problem class (S, W, A)")
 	asCSV := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	jobs := flag.Int("j", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	workers := flag.Int("workers", 1, "intra-run simulation workers per machine (>1 = parallel engine, bit-identical to serial; 0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 1, "intra-run simulation workers per machine (>1 = parallel engine, bit-identical to serial; amnesic strategies always run serial; 0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "print per-job wall-time and queue-wait reports")
 	stratBenches := flag.String("strategy-benches", "is,cg,mg", "benchmarks for -exp strategies (comma separated)")
 	stratCores := flag.String("strategy-cores", "4,8", "core counts for -exp strategies (comma separated)")

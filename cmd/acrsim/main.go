@@ -18,7 +18,9 @@
 //
 // -workers N with N > 1 executes each simulated machine through the
 // deterministic parallel engine (conflict-checked speculative rounds,
-// bit-identical to serial execution); 0 means GOMAXPROCS. The telemetry
+// bit-identical to serial execution); 0 means GOMAXPROCS. Amnesic
+// strategies (ReCkpt_*, AutoCkpt_*) always run serial quanta, so their
+// results are bit-identical at every worker count too. The telemetry
 // replay always runs serially, so exporting with -workers > 1 doubles as a
 // parallel-vs-serial determinism cross-check; the engine diagnostics
 // (acr_sched_*, acr_parallel_*) come from a second replay through the
@@ -63,7 +65,7 @@ func main() {
 	ckpts := flag.Int("ckpts", 0, "checkpoints per run (0 = paper default 25)")
 	errs := flag.Int("errors", 0, "override error count for _E configurations")
 	threshold := flag.Int("threshold", 0, "Slice-length threshold override (0 = benchmark default)")
-	workers := flag.Int("workers", 1, "intra-run simulation workers (>1 = parallel engine, bit-identical to serial; 0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 1, "intra-run simulation workers (>1 = parallel engine, bit-identical to serial; amnesic strategies always run serial; 0 = GOMAXPROCS)")
 	strategy := flag.String("strategy", "", "checkpoint-strategy override: full|amnesic|differential|tiered|auto (aliases: diff, tier); keeps -config's _E/,Loc modifiers")
 	listStrategies := flag.Bool("list-strategies", false, "list the checkpoint strategies and exit")
 	verbose := flag.Bool("v", false, "print checkpoint interval details")

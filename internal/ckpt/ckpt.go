@@ -314,16 +314,14 @@ func (m *Manager) OnFirstStore(coreID int, addr, old int64) int64 {
 }
 
 // PredictFirstStore returns the stall OnFirstStore(coreID, addr, old)
-// would return, without side effects: nothing is logged or pinned, no
-// statistics move and no energy is charged. scratch must be
-// caller-private. Speculative quanta use it to account the store-side
-// stall before the real OnFirstStore replays at commit; the parallel
-// engine's conflict rules guarantee the prediction matches the replay for
-// committing rounds.
+// would return, without side effects: nothing is logged, no statistics
+// move and no energy is charged. Speculative quanta use it to account the
+// store-side stall before the real OnFirstStore replays at commit; the
+// engine checks at replay that the two agree.
 //
 //acr:spec-safe
-func (m *Manager) PredictFirstStore(addr, old int64, scratch []int64) int64 {
-	return m.strat.Predict(m, addr, old, scratch)
+func (m *Manager) PredictFirstStore(addr, old int64) int64 {
+	return m.strat.Predict(m, addr, old)
 }
 
 // groupLogWords sums the interval's logged words over the group's members.

@@ -146,11 +146,11 @@ type Strategy interface {
 	// OnFirstStore handles the first update to addr within the open
 	// interval and returns the store-side stall in cycles.
 	OnFirstStore(m *Manager, coreID int, addr, old int64) int64
-	// Predict returns OnFirstStore's stall without side effects; scratch
-	// must be caller-private (the parallel engine predicts concurrently).
+	// Predict returns OnFirstStore's stall without side effects (the
+	// parallel engine predicts concurrently).
 	//
 	//acr:spec-safe
-	Predict(m *Manager, addr, old int64, scratch []int64) int64
+	Predict(m *Manager, addr, old int64) int64
 	// Seal runs at establishment, before the log ring rotates and before
 	// the interval's log bits clear: the strategy captures
 	// interval-granular state (delta images, tier demotion) and reports
@@ -219,11 +219,11 @@ func (s logStrategy) OnFirstStore(m *Manager, coreID int, addr, old int64) int64
 	return InlineLogStallCycles
 }
 
+// Predict is only reached for the full kind: amnesic and auto runs never
+// speculate, so the omission branch of OnFirstStore needs no twin.
+//
 //acr:spec-safe
-func (s logStrategy) Predict(m *Manager, addr, old int64, scratch []int64) int64 {
-	if m.acr != nil && m.acr.PeekOmittable(addr, old, scratch) {
-		return OmitStallCycles
-	}
+func (s logStrategy) Predict(*Manager, int64, int64) int64 {
 	return InlineLogStallCycles
 }
 
@@ -268,7 +268,7 @@ func (t *tieredStrategy) OnFirstStore(m *Manager, coreID int, addr, old int64) i
 }
 
 //acr:spec-safe
-func (t *tieredStrategy) Predict(*Manager, int64, int64, []int64) int64 {
+func (t *tieredStrategy) Predict(*Manager, int64, int64) int64 {
 	return InlineLogStallCycles
 }
 
@@ -339,7 +339,7 @@ func (d *diffStrategy) init(m *Manager) {
 func (d *diffStrategy) OnFirstStore(*Manager, int, int64, int64) int64 { return 0 }
 
 //acr:spec-safe
-func (d *diffStrategy) Predict(*Manager, int64, int64, []int64) int64 { return 0 }
+func (d *diffStrategy) Predict(*Manager, int64, int64) int64 { return 0 }
 
 func (d *diffStrategy) Seal(m *Manager, _ int64) SealInfo {
 	d.scratch = m.sys.AppendDirtyWords(d.scratch[:0])

@@ -134,7 +134,6 @@ func NewAddrMap(capacity int) *AddrMap {
 // sequential addresses across the table).
 //
 //acr:noalloc
-//acr:spec-safe
 func (m *AddrMap) home(addr int64) uint64 {
 	return (uint64(addr) * 0x9E3779B97F4A7C15) >> m.shift
 }
@@ -142,7 +141,6 @@ func (m *AddrMap) home(addr int64) uint64 {
 // rec returns the pooled record at slot.
 //
 //acr:noalloc
-//acr:spec-safe
 func (m *AddrMap) rec(slot int32) *Record {
 	return &m.blocks[slot>>m.blockBits][slot&int32(1<<m.blockBits-1)]
 }
@@ -208,7 +206,6 @@ func (m *AddrMap) takeRecycled() *slice.Compiled {
 // lookupMapped returns the record currently mapped at addr, or nil.
 //
 //acr:noalloc
-//acr:spec-safe
 func (m *AddrMap) lookupMapped(addr int64) *Record {
 	mask := uint64(len(m.table) - 1)
 	for i := m.home(addr); ; i = (i + 1) & mask {
@@ -370,20 +367,6 @@ func (m *AddrMap) Lookup(addr, old int64, scratch []int64) *Record {
 	}
 	m.stats.Hits++
 	return rec
-}
-
-// Peek reports whether a Lookup(addr, old, ...) would hit, without
-// mutating anything: no statistics move and a stale record stays mapped
-// (its unmapping happens when the real Lookup replays). Because it is
-// read-only it is safe to call from concurrently-executing speculative
-// quanta while the map is otherwise frozen; Slice evaluation is pure and
-// scratch is caller-private.
-//
-//acr:noalloc
-//acr:spec-safe
-func (m *AddrMap) Peek(addr, old int64, scratch []int64) bool {
-	rec := m.lookupMapped(addr)
-	return rec != nil && rec.Slice.Eval(scratch) == old
 }
 
 // Release drops one pin from rec (its referencing log was discarded) and

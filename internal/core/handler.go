@@ -156,19 +156,6 @@ func (h *Handler) Omittable(addr, old int64) *Record {
 	return rec
 }
 
-// PeekOmittable predicts Omittable's decision without side effects: no
-// energy is charged, no statistics move, and stale records stay mapped.
-// scratch must be caller-private (speculative quanta call this
-// concurrently against the frozen AddrMap). The prediction matches the
-// later real Omittable call exactly as long as no AddrMap event touching
-// addr intervenes — the condition the parallel engine's conflict rules
-// guarantee for committing rounds.
-//
-//acr:spec-safe
-func (h *Handler) PeekOmittable(addr, old int64, scratch []int64) bool {
-	return h.addrMap.Peek(addr, old, scratch)
-}
-
 // Recompute regenerates an omitted value along its Slice (Fig. 4b),
 // charging ALU and buffer energy, and returns the value together with the
 // stall cycles the recomputation occupies on the record's core (one cycle

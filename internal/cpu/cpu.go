@@ -102,8 +102,8 @@ type Core struct {
 	AssocEnabled bool
 
 	// SliceRelevant, when non-nil, marks the pcs whose ALU or load result a
-	// Slice can read (analysis.SliceRelevance): Step and SpecStep report
-	// only those to the tracker. Nil reports every one.
+	// Slice can read (analysis.SliceRelevance): Step reports only those to
+	// the tracker. Nil reports every one.
 	SliceRelevant []bool
 
 	lastStoreAddr int64

@@ -6,7 +6,6 @@ import (
 	"acr/internal/isa"
 	"acr/internal/mem"
 	"acr/internal/prog"
-	"acr/internal/slice"
 )
 
 // SpecState is the rollback snapshot of everything SpecStep mutates on a
@@ -21,9 +20,6 @@ type SpecState struct {
 	quarters int64
 	instrs   int64
 
-	lastStoreAddr int64
-	lastStoreReg  isa.Reg
-
 	accL1I, accInt, accFloat, accL1D uint64
 }
 
@@ -36,8 +32,6 @@ func (c *Core) SaveSpec(s *SpecState) {
 	s.state = c.State
 	s.quarters = c.quarters
 	s.instrs = c.Instrs
-	s.lastStoreAddr = c.lastStoreAddr
-	s.lastStoreReg = c.lastStoreReg
 	s.accL1I, s.accInt, s.accFloat, s.accL1D = c.accL1I, c.accInt, c.accFloat, c.accL1D
 }
 
@@ -53,8 +47,6 @@ func (c *Core) RestoreSpec(s *SpecState) {
 	c.State = s.state
 	c.quarters = s.quarters
 	c.Instrs = s.instrs
-	c.lastStoreAddr = s.lastStoreAddr
-	c.lastStoreReg = s.lastStoreReg
 	c.accL1I, c.accInt, c.accFloat, c.accL1D = s.accL1I, s.accInt, s.accFloat, s.accL1D
 }
 
@@ -66,35 +58,38 @@ func (s *SpecState) SavedState() State { return s.state }
 // (the engine charges the committed delta against the step budget).
 func (s *SpecState) SavedInstrs() int64 { return s.instrs }
 
-// SpecHooks is the speculative counterpart of Hooks. Instead of applying
-// checkpoint effects, implementations predict the stall a hook would
-// return (pure, against round-frozen state) and record the event for
-// replay through the real Hooks at commit, in the serial merge order.
-// cycle is the core-local cycle at which the instruction issuing the event
-// started — the first component of the engine's deterministic merge key.
+// SpecHooks is the speculative counterpart of Hooks' FirstStore. Instead
+// of applying the checkpoint effect, implementations predict the stall the
+// hook would return (pure, against round-frozen state) and record the event
+// for replay through the real Hooks at commit, in the serial merge order.
+// cycle is the core-local cycle at which the store started — the first
+// component of the engine's deterministic merge key. There is no Assoc
+// counterpart: amnesic runs never speculate.
 //
 //acr:spec-safe
 type SpecHooks interface {
 	SpecFirstStore(core int, cycle int64, addr, old int64) int64
-	SpecAssoc(core int, cycle int64, pc int, addr int64, recipe slice.Ref) int64
 }
 
-// SpecStep executes one instruction speculatively: identical to Step in
-// every architectural and timing respect, except that memory goes through
-// the core's SpecView, checkpoint hooks are predicted-and-recorded via
-// SpecHooks, and scheduling-state changes (BARRIER/HALT) are written
-// directly instead of through SetState — OnState observers are shared
-// across cores, so notification is deferred to the commit step on the
-// machine's goroutine.
+// SpecStep executes one instruction speculatively: identical to Step
+// without a tracker in every architectural and timing respect, except that
+// memory goes through the core's SpecView, first-store hooks are
+// predicted-and-recorded via SpecHooks, and scheduling-state changes
+// (BARRIER/HALT) are written directly instead of through SetState —
+// OnState observers are shared across cores, so notification is deferred
+// to the commit step on the machine's goroutine.
+//
+// Only cores without ACR speculate: the machine runs amnesic strategies in
+// serial quanta. AssocEnabled is therefore false here, ASSOC-ADDR is
+// skipped as in a baseline binary and no paired store is latched for it.
 //
 // SpecStep runs on a worker goroutine. It touches only the core itself,
-// the core-private SpecView and tracker shard, and frozen shared state;
-// that confinement is the data-race-freedom argument for the parallel
-// engine.
+// the core-private SpecView and frozen shared state; that confinement is
+// the data-race-freedom argument for the parallel engine.
 //
 //acr:spec-safe
 //acr:noalloc
-func (c *Core) SpecStep(p *prog.Program, sv *mem.SpecView, tr *slice.Tracker, hooks SpecHooks) {
+func (c *Core) SpecStep(p *prog.Program, sv *mem.SpecView, hooks SpecHooks) {
 	if c.State != Running {
 		panic(fmt.Sprintf("cpu: SpecStep on %v core %d", c.State, c.ID))
 	}
@@ -122,9 +117,6 @@ func (c *Core) SpecStep(p *prog.Program, sv *mem.SpecView, tr *slice.Tracker, ho
 		} else {
 			c.accInt++
 		}
-		if tr != nil && (c.SliceRelevant == nil || c.SliceRelevant[c.PC]) {
-			tr.OnALU(c.ID, in)
-		}
 		c.quarters++
 
 	case in.Op == isa.LD:
@@ -132,9 +124,6 @@ func (c *Core) SpecStep(p *prog.Program, sv *mem.SpecView, tr *slice.Tracker, ho
 		val, lat := sv.Load(addr)
 		if in.Rd != 0 {
 			c.Regs[in.Rd] = val
-		}
-		if tr != nil && (c.SliceRelevant == nil || c.SliceRelevant[c.PC]) {
-			tr.OnLoad(c.ID, in.Rd, val)
 		}
 		c.quarters += lat * qPerCycle
 
@@ -144,16 +133,6 @@ func (c *Core) SpecStep(p *prog.Program, sv *mem.SpecView, tr *slice.Tracker, ho
 		c.quarters += lat * qPerCycle
 		if first && hooks != nil {
 			c.quarters += hooks.SpecFirstStore(c.ID, start, addr, old) * qPerCycle
-		}
-		c.lastStoreAddr = addr
-		c.lastStoreReg = in.Rt
-
-	case in.Op == isa.ASSOCADDR:
-		c.accL1D++
-		c.quarters++
-		if hooks != nil && tr != nil {
-			sv.NoteAssoc(c.lastStoreAddr)
-			c.quarters += hooks.SpecAssoc(c.ID, start, c.PC, c.lastStoreAddr, tr.Recipe(c.ID, c.lastStoreReg)) * qPerCycle
 		}
 
 	case in.Op.IsBranch():

@@ -243,8 +243,6 @@ func (in Instr) BranchTarget() (int, bool) {
 // DstReg returns the register the instruction writes and true, or 0 and
 // false if it writes none. Writes to r0 are discarded by the core but still
 // reported here.
-//
-//acr:spec-safe
 func (in Instr) DstReg() (Reg, bool) {
 	switch in.Op {
 	case NOP, HALT, BARRIER, JMP, ST, BEQ, BNE, BLT, BGE, ASSOCADDR:

@@ -55,18 +55,6 @@ type SpecView struct {
 	// commit.
 	firstWords []int64
 
-	// ownAssocs marks the addresses this quantum ASSOC-ADDRed, as an
-	// open-addressed set. A first store to an address the same quantum
-	// already assoc'd would make the frozen-AddrMap stall prediction
-	// unreliable; the engine treats it as a conflict (Poisoned).
-	oaKeys []int64
-	oaLen  int
-
-	// Poisoned is set when the quantum's speculative execution could not
-	// be proven equivalent to serial execution (see NoteAssoc); the round
-	// must abort and replay serially.
-	Poisoned bool
-
 	// Comm observations against the frozen directory, multi-word per the
 	// machine's core count: commSelf is the row to OR into the view core's
 	// comm row; commOut (a writer-indexed matrix of commW-word rows, rows
@@ -185,7 +173,6 @@ func NewSpecView(sys *System, core int) *SpecView {
 		core:        core,
 		ovKeys:      make([]int64, 256),
 		ovVals:      make([]int64, 256),
-		oaKeys:      make([]int64, 64),
 		commSelf:    NewCoreSet(sys.nCores),
 		commOut:     make([]uint64, sys.nCores*sys.commW),
 		commTouched: NewCoreSet(sys.nCores),
@@ -198,20 +185,15 @@ func NewSpecView(sys *System, core int) *SpecView {
 //acr:spec-safe
 func (v *SpecView) Begin() {
 	// Deleting individual open-addressing slots would break probe
-	// sequences, so the overlay and assoc tables are wiped whole when used.
+	// sequences, so the overlay table is wiped whole when used.
 	if v.ovLen > 0 {
 		clear(v.ovKeys)
 		v.ovLen = 0
-	}
-	if v.oaLen > 0 {
-		clear(v.oaKeys)
-		v.oaLen = 0
 	}
 	v.wlog = v.wlog[:0]
 	v.reads.reset()
 	v.writes.reset()
 	v.firstWords = v.firstWords[:0]
-	v.Poisoned = false
 	v.commSelf.Reset()
 	cw := v.sys.commW
 	for _, w := range v.commList {
@@ -385,66 +367,6 @@ func (v *SpecView) Store(addr, val int64) (old int64, first bool, cycles int64) 
 	return old, first, cycles
 }
 
-// NoteAssoc records that the quantum ASSOC-ADDRed addr. The association
-// itself is replayed by the engine at commit; here the address's line
-// joins the write set (the association publishes directory state for that
-// line, so any cross-core touch of it must conflict rather than observe a
-// half-applied association).
-//
-//acr:spec-safe
-func (v *SpecView) NoteAssoc(addr int64) {
-	line := addr / int64(v.sys.cfg.LineWords)
-	v.writes.add(line)
-	if (v.oaLen+1)*4 > len(v.oaKeys)*3 {
-		old := v.oaKeys
-		v.oaKeys = make([]int64, len(old)*2)
-		for _, k := range old {
-			if k == 0 {
-				continue
-			}
-			h := setHome(k-1, len(v.oaKeys))
-			for v.oaKeys[h] != 0 {
-				h = (h + 1) & (len(v.oaKeys) - 1)
-			}
-			v.oaKeys[h] = k
-		}
-	}
-	h := setHome(addr, len(v.oaKeys))
-	for {
-		switch v.oaKeys[h] {
-		case 0:
-			v.oaKeys[h] = addr + 1
-			v.oaLen++
-			return
-		case addr + 1:
-			return
-		}
-		h = (h + 1) & (len(v.oaKeys) - 1)
-	}
-}
-
-// AssocdOwn reports whether this quantum already ASSOC-ADDRed addr. The
-// engine's first-store stall prediction peeks the frozen AddrMap, which
-// cannot see the quantum's own pending association — such a store makes
-// the prediction unreliable, so the engine poisons the round.
-//
-//acr:spec-safe
-func (v *SpecView) AssocdOwn(addr int64) bool {
-	if v.oaLen == 0 {
-		return false
-	}
-	h := setHome(addr, len(v.oaKeys))
-	for {
-		switch v.oaKeys[h] {
-		case 0:
-			return false
-		case addr + 1:
-			return true
-		}
-		h = (h + 1) & (len(v.oaKeys) - 1)
-	}
-}
-
 // ReadLines and WriteLines expose the touched-line sets (dense, unordered)
 // for the engine's conflict scan.
 //
@@ -467,9 +389,9 @@ func (v *SpecView) Abort() {
 // and directory entries from the write log (line-disjoint from every other
 // committing quantum, so per-view order is immaterial), interval log bits
 // for the first-stored words, comm rows and global counters, and the
-// energy accumulator. Hook effects (checkpoint
-// logging, associations) are NOT applied here — the engine replays those
-// through the real hooks in serial merge order.
+// energy accumulator. Hook effects (checkpoint logging) are NOT applied
+// here — the engine replays those through the real hooks in serial merge
+// order.
 //
 //acr:spec-safe
 func (v *SpecView) Commit() {

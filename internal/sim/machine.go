@@ -87,9 +87,11 @@ type Config struct {
 	// Workers selects intra-run parallelism: up to Workers OS threads
 	// execute independent cores' quanta concurrently in conflict-checked
 	// speculative rounds (parallel.go), committing in the serial merge
-	// order and falling back to serial replay on conflict. Results are
-	// bit-identical to Workers<=1 for every configuration; only wall-clock
-	// time changes. 0 and 1 mean serial execution.
+	// order and falling back to serial replay on conflict. Amnesic
+	// strategies (amnesic, auto) always run serial quanta, whatever
+	// Workers says: speculating their Slice tracking never paid. Results
+	// are bit-identical to Workers<=1 for every configuration; only
+	// wall-clock time changes. 0 and 1 mean serial execution.
 	Workers int
 
 	// noCoalesce selects the flat scheduler: quantum coalescing (see
@@ -449,7 +451,9 @@ type SchedStatsObserver interface {
 // (parallel.go): when two or more cores can move before the round horizon,
 // the pick runs a speculative round instead of a quantum. An aborted round
 // leaves its span to the serial quanta of this loop — the oracle — until
-// the picked core's clock reaches the round's horizon.
+// the picked core's clock reaches the round's horizon. Amnesic strategies
+// build no engine: they run the serial quanta at every Workers value, so
+// their results are bit-identical at every worker count by construction.
 func (m *Machine) Run() (Result, error) {
 	res, err := m.run()
 	if err == nil {
@@ -464,7 +468,7 @@ func (m *Machine) Run() (Result, error) {
 
 func (m *Machine) run() (Result, error) {
 	var e *parallelEngine
-	if m.cfg.Workers > 1 && len(m.cores) > 1 {
+	if m.cfg.Workers > 1 && len(m.cores) > 1 && !m.cfg.Strategy.Amnesic() {
 		e = newParallelEngine(m)
 		defer e.shutdown()
 	}
@@ -643,7 +647,8 @@ type SchedStats struct {
 	// The last bucket absorbs overflow.
 	QuantumHist [16]int64
 
-	// Rounds counts speculative rounds attempted (Workers > 1);
+	// Rounds counts speculative rounds attempted (Workers > 1, and never
+	// under an amnesic strategy);
 	// Committed and Aborted partition them. SerialQuanta counts quanta
 	// run serially because fewer than two cores were eligible.
 	Rounds       int64

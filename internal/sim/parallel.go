@@ -1,5 +1,6 @@
 // Parallel execution engine: conflict-checked concurrent core quanta with
-// serial fallback (Config.Workers > 1).
+// serial fallback (Config.Workers > 1, strategies other than amnesic and
+// auto).
 //
 // The engine exploits the same isolation argument the quantum-batched serial
 // scheduler rests on (sched.go): the serial interleaving is fully
@@ -9,21 +10,22 @@
 // and executes every running core with clock < h concurrently on a worker
 // pool, each against a private mem.SpecView that overlays its writes, records
 // the cache lines it touched, and defers every cross-core side effect
-// (directory metadata, log bits, stats, energy). Checkpoint hooks are
+// (directory metadata, log bits, stats, energy). First-store hooks are
 // predicted against round-frozen state and recorded for replay.
 //
 // Commit requires the round to have been conflict-free: no line written by
-// one quantum (stores and ASSOC-ADDRed addresses) was touched — read or
-// written — by another. Conflict-free quanta read exactly the values the
-// serial oracle would have shown them, so replaying their deferred effects in
-// the serial merge order reproduces the serial machine bit-identically:
-// memory words, log bits, AddrMap contents, every statistic and every energy
-// count. Any round that conflicts (or poisons its stall prediction, or
-// panics on a worker) is discarded — cores, views, caches and tracker shards
-// roll back to the round start — and the span is re-executed through the
-// serial scheduler, the oracle. Determinism therefore never depends on the
-// engine being right about speculation, only on it detecting when it was
-// wrong.
+// one quantum was touched — read or written — by another. Conflict-free
+// quanta read exactly the values the serial oracle would have shown them,
+// so replaying their deferred effects in the serial merge order reproduces
+// the serial machine bit-identically: memory words, log bits, every
+// statistic and every energy count. Any round that conflicts (or panics on
+// a worker) is discarded — cores, views and caches roll back to the round
+// start — and the span is re-executed through the serial scheduler, the
+// oracle. Determinism therefore never depends on the engine being right
+// about speculation, only on it detecting when it was wrong.
+//
+// Amnesic runs never reach the engine (Machine.run): their Slice tracking,
+// ASSOC-ADDR compiles and AddrMap lookups run only in serial quanta.
 package sim
 
 import (
@@ -32,7 +34,6 @@ import (
 
 	"acr/internal/cpu"
 	"acr/internal/mem"
-	"acr/internal/slice"
 )
 
 // roundSpanCycles caps a speculative round's horizon in event-free
@@ -41,23 +42,15 @@ import (
 // never cross a timed event, so the cap only matters between events.
 const roundSpanCycles = 2048
 
-// hookEvent is one deferred checkpoint hook occurrence, recorded during
+// hookEvent is one deferred first-store hook occurrence, recorded during
 // speculation and replayed through the real cpu.Hooks at commit.
 type hookEvent struct {
-	cycle     int64 // start cycle of the issuing instruction (merge key)
+	cycle     int64 // start cycle of the issuing store (merge key)
 	addr      int64
-	old       int64     // FirstStore: word value before the store
-	recipe    slice.Ref // Assoc: recipe of the paired store's value
-	pc        int32     // Assoc: the ASSOC-ADDR instruction's PC
-	predicted int64     // stall the speculative prediction charged
+	old       int64 // word value before the store
+	predicted int64 // stall the speculative prediction charged
 	core      int32
-	kind      uint8
 }
-
-const (
-	evFirstStore uint8 = iota
-	evAssoc
-)
 
 // parallelEngine owns the worker pool and the per-core speculation state.
 // All fields indexed by core id are touched by at most one worker during a
@@ -65,11 +58,10 @@ const (
 type parallelEngine struct {
 	m *Machine
 
-	views   []*mem.SpecView // per-core speculative memory views
-	snaps   []cpu.SpecState // per-core rollback snapshots
-	events  [][]hookEvent   // per-core deferred hook events
-	scratch [][]int64       // per-core slice-evaluation scratch
-	panics  []any           // per-core captured worker panics
+	views  []*mem.SpecView // per-core speculative memory views
+	snaps  []cpu.SpecState // per-core rollback snapshots
+	events [][]hookEvent   // per-core deferred hook events
+	panics []any           // per-core captured worker panics
 
 	roundH   int64 // current round horizon; frozen while workers run
 	eligible []int
@@ -91,7 +83,6 @@ func newParallelEngine(m *Machine) *parallelEngine {
 		views:    make([]*mem.SpecView, n),
 		snaps:    make([]cpu.SpecState, n),
 		events:   make([][]hookEvent, n),
-		scratch:  make([][]int64, n),
 		panics:   make([]any, n),
 		eligible: make([]int, 0, n),
 		writerOf: make(map[int64]int, 256),
@@ -100,7 +91,6 @@ func newParallelEngine(m *Machine) *parallelEngine {
 	}
 	for i := range e.views {
 		e.views[i] = mem.NewSpecView(m.sys, i)
-		e.scratch[i] = make([]int64, 512)
 	}
 	for i := 0; i < w; i++ {
 		go e.worker()
@@ -118,10 +108,10 @@ func (e *parallelEngine) worker() {
 }
 
 // runCore executes one core's speculative quantum up to the round horizon.
-// It touches only the core, its SpecView, its tracker shard and frozen
-// shared state. A panic (the simulator's response to architecturally
-// impossible situations) is captured and re-raised deterministically by the
-// serial replay of the aborted round, on the machine's goroutine.
+// It touches only the core, its SpecView and frozen shared state. A panic
+// (the simulator's response to architecturally impossible situations) is
+// captured and re-raised deterministically by the serial replay of the
+// aborted round, on the machine's goroutine.
 //
 //acr:spec-safe
 func (e *parallelEngine) runCore(id int) {
@@ -134,12 +124,12 @@ func (e *parallelEngine) runCore(id int) {
 	c := m.cores[id]
 	sv := e.views[id]
 	for c.State == cpu.Running && c.Cycles() < e.roundH {
-		c.SpecStep(m.program, sv, m.tracker, e)
+		c.SpecStep(m.program, sv, e)
 	}
 }
 
-// SpecFirstStore implements cpu.SpecHooks: predict the stall against the
-// round-frozen AddrMap and defer the real hook to commit.
+// SpecFirstStore implements cpu.SpecHooks: predict the stall from the
+// strategy alone and defer the real hook to commit.
 //
 //acr:spec-safe
 func (e *parallelEngine) SpecFirstStore(core int, cycle int64, addr, old int64) int64 {
@@ -147,37 +137,12 @@ func (e *parallelEngine) SpecFirstStore(core int, cycle int64, addr, old int64) 
 	if m.mgr == nil {
 		return 0
 	}
-	sv := e.views[core]
-	if sv.AssocdOwn(addr) {
-		// The quantum ASSOC-ADDRed this address earlier in the round, so
-		// the frozen AddrMap cannot predict the stall (the pending
-		// insertion lands at replay, before this event). Unreachable given
-		// per-interval log bits, but poison rather than prove: the serial
-		// oracle resolves the round.
-		sv.Poisoned = true
-	}
-	stall := m.mgr.PredictFirstStore(addr, old, e.scratch[core])
+	stall := m.mgr.PredictFirstStore(addr, old)
 	e.events[core] = append(e.events[core], hookEvent{
-		cycle: cycle, core: int32(core), kind: evFirstStore,
+		cycle: cycle, core: int32(core),
 		addr: addr, old: old, predicted: stall,
 	})
 	return stall
-}
-
-// SpecAssoc implements cpu.SpecHooks. AddrMap insertion never stalls
-// (OnAssoc returns 0 whether the insertion is accepted or rejected), so the
-// prediction is trivial; the insertion itself is deferred to commit.
-//
-//acr:spec-safe
-func (e *parallelEngine) SpecAssoc(core int, cycle int64, pc int, addr int64, recipe slice.Ref) int64 {
-	if e.m.handler == nil {
-		return 0
-	}
-	e.events[core] = append(e.events[core], hookEvent{
-		cycle: cycle, core: int32(core), kind: evAssoc,
-		pc: int32(pc), addr: addr, recipe: recipe,
-	})
-	return 0
 }
 
 // collect gathers the cores eligible for a round to horizon h — every
@@ -203,9 +168,6 @@ func (e *parallelEngine) round(h int64) (bool, error) {
 		c := m.cores[id]
 		c.SaveSpec(&e.snaps[id])
 		e.views[id].Begin()
-		if m.tracker != nil {
-			m.tracker.BeginSpec(id)
-		}
 		e.events[id] = e.events[id][:0]
 		e.panics[id] = nil
 	}
@@ -219,7 +181,7 @@ func (e *parallelEngine) round(h int64) (bool, error) {
 
 	ok := true
 	for _, id := range e.eligible {
-		if e.panics[id] != nil || e.views[id].Poisoned {
+		if e.panics[id] != nil {
 			ok = false
 		}
 	}
@@ -234,8 +196,7 @@ func (e *parallelEngine) round(h int64) (bool, error) {
 }
 
 // conflicts reports whether any line written by one quantum was touched by
-// another. ASSOC-ADDRed addresses count as writes (their replay mutates the
-// AddrMap entry other cores' stall predictions may have read).
+// another.
 func (e *parallelEngine) conflicts() bool {
 	clear(e.writerOf)
 	for _, id := range e.eligible {
@@ -268,14 +229,13 @@ func (e *parallelEngine) commit() error {
 	}
 
 	// 2. Hook replay in the serial merge order (⌊start cycle⌋, core id,
-	// per-core program order): checkpoint log appends and AddrMap
-	// mutations land exactly as the serial oracle would order them. The
-	// stable sort keeps each core's events in program order within a
-	// cycle. A replay stall differing from the prediction would mean
-	// mispredicted timing is already baked into a committed clock; the
-	// conflict and poison rules make that unreachable, and the check
-	// turns any gap in that argument into a hard error instead of a
-	// silently wrong profile.
+	// per-core program order): checkpoint log appends land exactly as the
+	// serial oracle would order them. The stable sort keeps each core's
+	// events in program order within a cycle. A replay stall differing
+	// from the prediction would mean mispredicted timing is already baked
+	// into a committed clock; no speculating strategy's stall depends on
+	// anything but its kind, and the check turns any gap in that argument
+	// into a hard error instead of a silently wrong profile.
 	e.merged = e.merged[:0]
 	for _, id := range e.eligible {
 		e.merged = append(e.merged, e.events[id]...)
@@ -288,28 +248,13 @@ func (e *parallelEngine) commit() error {
 	})
 	for i := range e.merged {
 		ev := &e.merged[i]
-		var stall int64
-		switch ev.kind {
-		case evFirstStore:
-			stall = m.FirstStore(int(ev.core), ev.addr, ev.old)
-		case evAssoc:
-			stall = m.Assoc(int(ev.core), int(ev.pc), ev.addr, ev.recipe)
-		}
-		if stall != ev.predicted {
+		if stall := m.FirstStore(int(ev.core), ev.addr, ev.old); stall != ev.predicted {
 			return fmt.Errorf("sim: parallel hook replay diverged on core %d addr %d (predicted stall %d, replay %d); speculation is unsound for this run",
 				ev.core, ev.addr, ev.predicted, stall)
 		}
 	}
 
-	// 3. Recipe arenas: compaction was deferred during the round so the
-	// recorded slice.Refs stayed valid through replay; release now.
-	if m.tracker != nil {
-		for _, id := range e.eligible {
-			m.tracker.CommitSpec(id)
-		}
-	}
-
-	// 4. Scheduling transitions (replayed through SetState so OnState
+	// 3. Scheduling transitions (replayed through SetState so OnState
 	// observers fire exactly once, on the machine's goroutine), meter
 	// flushes, clock notes and the step budget.
 	for _, id := range e.eligible {
@@ -330,17 +275,14 @@ func (e *parallelEngine) commit() error {
 	return nil
 }
 
-// abort rolls every participating core, view and tracker shard back to the
-// round start. The restore is bit-exact, so the serial replay that follows
-// sees precisely the state the round started from.
+// abort rolls every participating core and view back to the round start.
+// The restore is bit-exact, so the serial replay that follows sees
+// precisely the state the round started from.
 func (e *parallelEngine) abort() {
 	m := e.m
 	for _, id := range e.eligible {
 		m.cores[id].RestoreSpec(&e.snaps[id])
 		e.views[id].Abort()
-		if m.tracker != nil {
-			m.tracker.AbortSpec(id)
-		}
 	}
 	m.schedStats.Aborted++
 	// The roll-back rewound clocks the heap had already ordered.

@@ -49,7 +49,11 @@ func checkBitIdentical(t *testing.T, label string, serial, par Result, serialMem
 // bit-identical to the serial oracle. Unaligned partitions (perThread not a
 // multiple of the 8-word line) make neighbouring cores share boundary
 // lines, so the sweep exercises both committed rounds and the
-// conflict-abort/serial-replay path.
+// conflict-abort/serial-replay path. The amnesic arms pin the engine's one
+// exclusion: they must run serial quanta only, with no speculative round.
+// Mode and partition size are stratified, not drawn, so every arm meets the
+// unaligned partition whatever the seed: only the non-amnesic arms can
+// exercise the engine.
 func TestParallelBitIdentityFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	scenarios := 12
@@ -62,13 +66,13 @@ func TestParallelBitIdentityFuzz(t *testing.T) {
 	var committed, aborted int64
 	for i := 0; i < scenarios; i++ {
 		cores := coreChoices[rng.Intn(len(coreChoices))]
-		perThread := []int{10, 24, 40}[rng.Intn(3)]
+		perThread := []int{10, 24, 40}[(i/4)%3]
 		iters := 3 + rng.Intn(3)
 		workers := []int{2, 4, 8}[rng.Intn(3)]
 		p := testKernel(cores, perThread, iters)
 
 		cfg := DefaultConfig(cores)
-		mode := rng.Intn(4) // 0: no ckpt, 1: ckpt, 2: amnesic, 3: amnesic local
+		mode := i % 4 // 0: no ckpt, 1: ckpt, 2: amnesic, 3: amnesic local
 		if mode > 0 {
 			ref, refMem, _ := runWorkers(t, cfg, p, 1)
 			_ = refMem
@@ -95,7 +99,10 @@ func TestParallelBitIdentityFuzz(t *testing.T) {
 		serial, serialMem, _ := runWorkers(t, cfg, p, 1)
 		par, parMem, ps := runWorkers(t, cfg, p, workers)
 		checkBitIdentical(t, label, serial, par, serialMem, parMem)
-		if ps.Rounds == 0 {
+		switch {
+		case cfg.Strategy.Amnesic() && ps.Rounds != 0:
+			t.Errorf("%s: amnesic run attempted %d speculative rounds, want serial quanta only", label, ps.Rounds)
+		case !cfg.Strategy.Amnesic() && ps.Rounds == 0:
 			t.Errorf("%s: parallel run attempted no speculative rounds", label)
 		}
 		committed += ps.Committed
@@ -199,31 +206,21 @@ func TestParallelDisjointCommits(t *testing.T) {
 }
 
 // TestParallelWorkerCountInvariance checks the worker count itself (not
-// just parallel-vs-serial) never changes the result.
+// just parallel-vs-serial) never changes the result, on a conventional
+// checkpointed run with one error: a strategy the engine speculates.
 func TestParallelWorkerCountInvariance(t *testing.T) {
 	p := testKernel(8, 10, 4)
-	cfg := ckptConfigFor(t, p, 8, true, false)
+	base, _, _ := runWorkers(t, DefaultConfig(8), p, 1)
+	cfg := DefaultConfig(8)
+	cfg.Checkpointing = true
+	cfg.PeriodCycles = base.Cycles / 4
+	cfg.Errors = fault.Uniform(1, base.Cycles, cfg.PeriodCycles/2)
 	ref, refMem, _ := runWorkers(t, cfg, p, 1)
 	for _, w := range []int{2, 3, 4, 8} {
-		res, mem, _ := runWorkers(t, cfg, p, w)
-		checkBitIdentical(t, "workers", ref, res, refMem, mem)
+		res, mem, ps := runWorkers(t, cfg, p, w)
+		checkBitIdentical(t, "workers="+itoa(w), ref, res, refMem, mem)
+		if ps.Committed == 0 {
+			t.Errorf("workers=%d: no speculative round committed: %+v", w, ps)
+		}
 	}
-}
-
-// ckptConfigFor builds a checkpointing config for an arbitrary kernel by
-// probing its serial makespan (ckptConfig is hard-wired to the package
-// baseline kernel).
-func ckptConfigFor(t *testing.T, p *prog.Program, cores int, amnesic, local bool) Config {
-	t.Helper()
-	ref, _, _ := runWorkers(t, DefaultConfig(cores), p, 1)
-	cfg := DefaultConfig(cores)
-	cfg.Checkpointing = true
-	if amnesic {
-		cfg.Strategy = ckpt.KindAmnesic
-	}
-	if local {
-		cfg.Mode = ckpt.Local
-	}
-	cfg.PeriodCycles = ref.Cycles / 4
-	return cfg
 }

@@ -117,9 +117,10 @@ func TestDeepLatencyRejectedAtRetentionTwo(t *testing.T) {
 	}
 }
 
-// TestStrategyWorkerInvariance: the parallel engine must stay bit-identical
-// to the serial oracle under every strategy (prediction == replay for each
-// strategy's first-store stall).
+// TestStrategyWorkerInvariance: Workers 4 must stay bit-identical to the
+// serial oracle under every strategy (prediction == replay for each
+// speculated strategy's first-store stall). The amnesic kinds run serial
+// quanta only.
 func TestStrategyWorkerInvariance(t *testing.T) {
 	base, _ := baseline(t)
 	p := testKernel(tThreads, tPer, tIters)
@@ -127,8 +128,11 @@ func TestStrategyWorkerInvariance(t *testing.T) {
 		cfg := strategyConfig(t, kind, tCkpts+2)
 		cfg.Errors = fault.Uniform(1, base.Cycles, cfg.PeriodCycles/2)
 		serial, serialMem, _ := runWorkers(t, cfg, p, 1)
-		par, parMem, _ := runWorkers(t, cfg, p, 4)
+		par, parMem, ps := runWorkers(t, cfg, p, 4)
 		checkBitIdentical(t, kind.String(), serial, par, serialMem, parMem)
+		if speculated := ps.Rounds > 0; speculated == kind.Amnesic() {
+			t.Errorf("%v: %d speculative rounds at workers 4", kind, ps.Rounds)
+		}
 	}
 }
 

@@ -60,8 +60,6 @@ func (c *Compiled) StorageWords() int {
 // Eval recomputes the value on scratch (the scratchpad of paper §II-B;
 // grown as needed). A Slice with zero ops returns its single input (a pure
 // buffered value) or 0 if it has no inputs (the zero recipe).
-//
-//acr:spec-safe
 func (c *Compiled) Eval(scratch []int64) int64 {
 	need := len(c.Inputs) + len(c.Ops)
 	if need == 0 {
@@ -80,7 +78,7 @@ func (c *Compiled) Eval(scratch []int64) int64 {
 	}
 	base := len(c.Inputs)
 	for j, op := range c.Ops {
-		scratch[base+j] = isa.EvalALU(op.Op, get(op.A), get(op.B), get(op.C), op.Imm) //acr:spec-ok get is the local closure above, reading caller-private scratch
+		scratch[base+j] = isa.EvalALU(op.Op, get(op.A), get(op.B), get(op.C), op.Imm)
 	}
 	return scratch[need-1]
 }

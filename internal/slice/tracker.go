@@ -13,11 +13,7 @@
 // recovery exact.
 package slice
 
-import (
-	"math"
-
-	"acr/internal/isa"
-)
+import "acr/internal/isa"
 
 // Ref identifies a recipe node inside one core's shard of a Tracker. Refs
 // are invalidated by arena compaction; they must not be stored outside the
@@ -60,8 +56,7 @@ type node struct {
 
 // shard is one core's private recipe store. Recipes never reference nodes
 // of another core's shard — registers are core-private and loads cut
-// Slices — so shards share nothing and distinct cores may track
-// concurrently (the parallel execution engine's requirement).
+// Slices.
 type shard struct {
 	arena   []node
 	opaque  Ref
@@ -82,17 +77,6 @@ type shard struct {
 	stack []Ref
 	// liveHi is the high-water mark of the post-compaction live set.
 	liveHi int
-
-	// Speculative-round state (BeginSpec/CommitSpec/AbortSpec). While a
-	// round is open, compaction is deferred by lifting compactLimit —
-	// refs recorded by the round's hook events must stay valid until the
-	// round commits — and savedLimit holds the real limit. specBase and
-	// specRecipes snapshot the rollback point: nodes are only appended
-	// during a round, so aborting truncates the arena and restores the
-	// recipe roots.
-	savedLimit  int
-	specBase    int
-	specRecipes [isa.NumRegs]Ref
 }
 
 // Tracker maintains per-core, per-register recipes. It is the simulator's
@@ -113,18 +97,11 @@ type shard struct {
 // recipes. Compaction double-buffers the arena and reuses its remap and
 // work-stack scratch, so steady-state tracking is allocation-free.
 //
-// The tracker is sharded by core: the tracking methods taking a core index
-// (OnALU, OnLoad, the Begin/Commit/AbortSpec round protocol, ...) touch
-// only that core's shard, so such calls for DISTINCT cores are safe
-// concurrently (calls for the same core are not). Compile/CompileInto are
-// the exception: they reuse one Tracker-wide visited table (cTab) — a
-// per-shard table at 32 cores costs ~3 MB of scratch and measurably
-// thrashes the cache — and so must not run concurrently with each other.
-// The simulator honours this by compiling only on the main goroutine:
-// serial execution compiles in the FirstStore/Assoc hooks, and the
-// parallel engine defers those hooks during speculation (workers only
-// Peek, which evaluates already-compiled Slices) and replays them at
-// commit, serially.
+// The tracker is sharded by core, but Compile/CompileInto reuse one
+// Tracker-wide visited table (cTab) — a per-shard table at 32 cores costs
+// ~3 MB of scratch and measurably thrashes the cache. A Tracker is used
+// from one goroutine: the simulator runs amnesic strategies, the only ones
+// that track, in serial quanta.
 type Tracker struct {
 	shards []shard
 	// maxDepth is the deepest recipe OnALU keeps; deeper ones become
@@ -167,16 +144,13 @@ func NewTracker(nCores int) *Tracker {
 	return t
 }
 
-//acr:spec-safe
 func (s *shard) push(n node) Ref {
 	s.arena = append(s.arena, n)
 	return Ref(len(s.arena) - 1)
 }
 
-//acr:spec-safe
 func (s *shard) at(r Ref) *node { return &s.arena[r] }
 
-//acr:spec-safe
 func (s *shard) recipe(reg isa.Reg) Ref {
 	if reg == 0 {
 		return s.zero
@@ -184,7 +158,6 @@ func (s *shard) recipe(reg isa.Reg) Ref {
 	return s.recipes[reg]
 }
 
-//acr:spec-safe
 func (s *shard) setRecipe(reg isa.Reg, r Ref) {
 	if reg == 0 {
 		return
@@ -205,23 +178,17 @@ func (t *Tracker) LimitDepth(maxOps int) {
 }
 
 // Recipe returns the recipe of reg on core.
-//
-//acr:spec-safe
 func (t *Tracker) Recipe(core int, reg isa.Reg) Ref {
 	return t.shards[core].recipe(reg)
 }
 
 // Size returns the unrolled instruction count of core's recipe r (SatSize
 // if saturated/unrecomputable).
-//
-//acr:spec-safe
 func (t *Tracker) Size(core int, r Ref) int { return int(t.shards[core].at(r).size) }
 
 // OnLoad records that a load wrote val into rd: the recipe becomes a
 // buffered-input leaf capturing the loaded value (loads cut Slices and
 // their results are input operands, paper §III-A / Fig. 3).
-//
-//acr:spec-safe
 func (t *Tracker) OnLoad(core int, rd isa.Reg, val int64) {
 	s := &t.shards[core]
 	s.setRecipe(rd, s.push(node{kind: kindInput, val: val}))
@@ -241,8 +208,6 @@ func (t *Tracker) ResetCore(core int, vals *[isa.NumRegs]int64) {
 
 // OnALU updates rd's recipe for the executed ALU instruction in. Every ALU
 // op writes in.Rd (a write to r0 is discarded by setRecipe).
-//
-//acr:spec-safe
 func (t *Tracker) OnALU(core int, in isa.Instr) {
 	s := &t.shards[core]
 	var a, b, c Ref = noRef, noRef, noRef
@@ -294,45 +259,6 @@ func (t *Tracker) ArenaLen() int {
 	return n
 }
 
-// BeginSpec opens a speculative round on core's shard: the rollback point
-// is snapshotted and compaction is deferred, so refs handed out during the
-// round stay valid until CommitSpec (hook-event replay needs them) and
-// AbortSpec can discard the round by truncation. Rounds do not nest.
-//
-//acr:spec-safe
-func (t *Tracker) BeginSpec(core int) {
-	s := &t.shards[core]
-	s.savedLimit = s.compactLimit
-	s.compactLimit = math.MaxInt
-	s.specBase = len(s.arena)
-	s.specRecipes = s.recipes
-}
-
-// CommitSpec closes core's speculative round, keeping its nodes. Deferred
-// compaction runs now if the arena grew past the limit; the caller must not
-// hold refs across this call.
-//
-//acr:spec-safe
-func (t *Tracker) CommitSpec(core int) {
-	s := &t.shards[core]
-	s.compactLimit = s.savedLimit
-	if len(s.arena) >= s.compactLimit {
-		s.compact()
-	}
-}
-
-// AbortSpec discards every node pushed since BeginSpec and restores the
-// recipe roots, returning the shard bit-identically to its pre-round state
-// (nodes are immutable and only appended, so truncation suffices).
-//
-//acr:spec-safe
-func (t *Tracker) AbortSpec(core int) {
-	s := &t.shards[core]
-	s.arena = s.arena[:s.specBase]
-	s.recipes = s.specRecipes
-	s.compactLimit = s.savedLimit
-}
-
 // compact rebuilds the shard's arena keeping only nodes reachable from
 // register recipes. Reachability is bounded: every live recipe has tree
 // size < SatSize, so the compacted arena is small regardless of execution
@@ -340,8 +266,6 @@ func (t *Tracker) AbortSpec(core int) {
 // remap array, and the surviving nodes move into the spare buffer, which
 // is pre-sized from the live-set high-water mark so the following
 // compactLimit pushes never reallocate.
-//
-//acr:spec-safe
 func (s *shard) compact() {
 	if cap(s.remap) < len(s.arena) {
 		s.remap = make([]Ref, len(s.arena))

@@ -194,6 +194,21 @@ func TestValidateTraceRejectsMalformed(t *testing.T) {
 	}
 }
 
+// FuzzValidateTrace: the trace validator returns an event count or an
+// error on arbitrary input and never panics; an accepted trace has at least
+// one event. Seeds live in testdata/fuzz/FuzzValidateTrace.
+func FuzzValidateTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, err := ValidateTrace(bytes.NewReader(data))
+		switch {
+		case err != nil && n != 0:
+			t.Fatalf("error %v with count %d", err, n)
+		case err == nil && n < 1:
+			t.Fatalf("accepted trace with %d events", n)
+		}
+	})
+}
+
 func TestProfileRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("a_total", "A.", "k").With("x").Add(4)

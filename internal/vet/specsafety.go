@@ -6,10 +6,9 @@ import (
 )
 
 // SpecSafetyAnalyzer checks the speculative-execution confinement contract
-// of the parallel engine (PR 5): code annotated //acr:spec-safe — the
-// closure reachable from cpu.Core.SpecStep, the mem.SpecView methods and
-// the tracker's Begin/Commit/AbortSpec round protocol — runs on worker
-// goroutines against core-private state, so it must not write any
+// of the parallel engine: code annotated //acr:spec-safe — the closure
+// reachable from cpu.Core.SpecStep and the mem.SpecView methods — runs on
+// worker goroutines against core-private state, so it must not write any
 // package-level variable and may only call functions that are themselves
 // //acr:spec-safe (or allowlisted pure standard library).
 //
