@@ -45,7 +45,7 @@ func main() {
 	must(err)
 
 	// Gate the kernel through the static analyser before running it: the
-	// same checks `acrlint` applies to the shipped workloads.
+	// same lint the shipped workloads must pass (TestAllWorkloadsLintClean).
 	diags, err := analysis.Lint(program)
 	must(err)
 	for _, d := range diags {

@@ -2,8 +2,8 @@
 // programs: basic-block/control-flow-graph construction with branch-target
 // resolution, the classic bit-vector dataflow analyses (reaching
 // definitions, register liveness), dominance, and — layered on top — a lint
-// pass suite (cmd/acrlint) and a Slice recomputability verifier that proves
-// a slice.Static replay-safe before it is trusted by recovery.
+// pass suite and a Slice recomputability verifier that proves a
+// slice.Static replay-safe before it is trusted by recovery.
 //
 // The package is the static half of the paper's compiler pass (§III,
 // Fig. 3): where internal/slice derives Slices dynamically from the

@@ -8,27 +8,20 @@ import (
 	"acr/internal/prog"
 )
 
-// Severity grades a lint diagnostic. The acrlint gate and the workload
-// guard test treat warnings and errors as failures; the split exists so
-// reports can distinguish definite bugs from smells. Info diagnostics are
-// advisory surfacing of analysis decisions (the auto checkpoint site plan)
-// and never gate.
+// Severity grades a lint diagnostic. The workload guard test treats
+// warnings and errors alike as failures; the split exists so reports can
+// distinguish definite bugs from smells.
 type Severity uint8
 
-// Severities. The wire values of SevWarn and SevError predate SevInfo and
-// are kept stable for JSON consumers.
+// Severities.
 const (
 	SevWarn Severity = iota
 	SevError
-	SevInfo
 )
 
 func (s Severity) String() string {
-	switch s {
-	case SevError:
+	if s == SevError {
 		return "error"
-	case SevInfo:
-		return "info"
 	}
 	return "warning"
 }
@@ -47,20 +40,21 @@ func (d Diag) String() string {
 	return fmt.Sprintf("pc %d [%s] %s: %s", d.PC, d.Pass, d.Severity, d.Msg)
 }
 
-// Lint runs the full pass suite over a built program: unreachable blocks,
-// definitely-uninitialised register reads, dead register writes, writes to
-// the hardwired zero register, statically out-of-segment memory references,
-// fall-through past the end of the code image, and infinite loops that
-// contain no barrier. It returns the findings sorted by PC; the error is
-// non-nil only when the CFG cannot be constructed (e.g. a branch targets an
-// instruction outside the code image).
+// Lint runs the pass suite over a built program: unreachable blocks,
+// definitely-uninitialised register reads, dead register writes and writes
+// to the hardwired zero register. Each pass finds a defect the simulator
+// runs without complaint; defects a run already stops on (an out-of-range
+// address, a loop that never ends) are left to the run, and falling
+// through past the code image is a prog.Validate error. Lint returns the
+// findings sorted by PC; the error is non-nil only when the CFG cannot be
+// constructed (e.g. a branch targets an instruction outside the code
+// image).
 func Lint(p *prog.Program) ([]Diag, error) {
-	return LintCode(p.Code, p.Entry, p.DataWords)
+	return LintCode(p.Code, p.Entry)
 }
 
-// LintCode is Lint over a raw code image. dataWords bounds the data
-// segment for the out-of-segment pass; pass 0 to skip that pass.
-func LintCode(code []isa.Instr, entry, dataWords int) ([]Diag, error) {
+// LintCode is Lint over a raw code image.
+func LintCode(code []isa.Instr, entry int) ([]Diag, error) {
 	g, err := BuildCFG(code, entry)
 	if err != nil {
 		return nil, err
@@ -71,9 +65,6 @@ func LintCode(code []isa.Instr, entry, dataWords int) ([]Diag, error) {
 	diags = append(diags, lintUninitReads(g, reach)...)
 	diags = append(diags, lintDeadStores(g, reach)...)
 	diags = append(diags, lintWriteR0(g, reach)...)
-	diags = append(diags, lintOutOfSegment(g, reach, dataWords)...)
-	diags = append(diags, lintFallOffEnd(g, reach)...)
-	diags = append(diags, lintInfiniteLoops(g, reach)...)
 	sort.Slice(diags, func(i, j int) bool {
 		if diags[i].PC != diags[j].PC {
 			return diags[i].PC < diags[j].PC
@@ -188,162 +179,4 @@ func lintWriteR0(g *CFG, reach []bool) []Diag {
 		}
 	}
 	return diags
-}
-
-// lintOutOfSegment flags memory references whose effective address is a
-// proven constant outside the program's data segment [0, dataWords).
-func lintOutOfSegment(g *CFG, reach []bool, dataWords int) []Diag {
-	if dataWords <= 0 {
-		return nil
-	}
-	cp := NewConstProp(g)
-	var diags []Diag
-	for _, b := range g.Blocks {
-		if !reach[b.ID] {
-			continue
-		}
-		for pc := b.Start; pc < b.End; pc++ {
-			in := g.Code[pc]
-			if !in.Op.IsMem() {
-				continue
-			}
-			base, ok := cp.ValueAt(pc, in.Rs)
-			if !ok {
-				continue
-			}
-			addr := base + in.Imm
-			if addr < 0 || addr >= int64(dataWords) {
-				diags = append(diags, Diag{
-					Pass: "oob-mem", PC: pc, Block: b.ID, Severity: SevError,
-					Msg: fmt.Sprintf("%v addresses word %d, outside the data segment [0,%d)", in, addr, dataWords),
-				})
-			}
-		}
-	}
-	return diags
-}
-
-// lintFallOffEnd flags a reachable block that falls through past the last
-// instruction of the code image: execution would run off the program.
-func lintFallOffEnd(g *CFG, reach []bool) []Diag {
-	var diags []Diag
-	for _, b := range g.Blocks {
-		if !reach[b.ID] || b.End != len(g.Code) {
-			continue
-		}
-		last := g.Code[b.End-1]
-		if last.Op == isa.HALT || last.Op == isa.JMP {
-			continue
-		}
-		diags = append(diags, Diag{
-			Pass: "fall-off-end", PC: b.End - 1, Block: b.ID, Severity: SevError,
-			Msg: fmt.Sprintf("control can fall through past the last instruction (%v); terminate with halt or an unconditional jump", last),
-		})
-	}
-	return diags
-}
-
-// lintInfiniteLoops flags cycles in the CFG that have no exit edge and
-// contain no barrier: every thread entering one spins forever with no way
-// to synchronise out.
-func lintInfiniteLoops(g *CFG, reach []bool) []Diag {
-	var diags []Diag
-	for _, scc := range stronglyConnected(g, reach) {
-		inSCC := make(map[int]bool, len(scc))
-		for _, id := range scc {
-			inSCC[id] = true
-		}
-		// A single block is a cycle only if it has a self-edge.
-		if len(scc) == 1 {
-			self := false
-			for _, s := range g.Blocks[scc[0]].Succs {
-				if s == scc[0] {
-					self = true
-				}
-			}
-			if !self {
-				continue
-			}
-		}
-		hasExit, hasBarrier := false, false
-		first := scc[0]
-		for _, id := range scc {
-			if g.Blocks[id].Start < g.Blocks[first].Start {
-				first = id
-			}
-			for _, s := range g.Blocks[id].Succs {
-				if !inSCC[s] {
-					hasExit = true
-				}
-			}
-			for pc := g.Blocks[id].Start; pc < g.Blocks[id].End; pc++ {
-				if g.Code[pc].Op == isa.BARRIER {
-					hasBarrier = true
-				}
-			}
-		}
-		if !hasExit && !hasBarrier {
-			diags = append(diags, Diag{
-				Pass: "infinite-loop", PC: g.Blocks[first].Start, Block: first, Severity: SevError,
-				Msg: fmt.Sprintf("loop over blocks %v has no exit edge and no barrier; it can never terminate", scc),
-			})
-		}
-	}
-	return diags
-}
-
-// stronglyConnected returns Tarjan's strongly connected components of the
-// reachable subgraph.
-func stronglyConnected(g *CFG, reach []bool) [][]int {
-	n := len(g.Blocks)
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []int
-	var sccs [][]int
-	next := 0
-	var strong func(v int)
-	strong = func(v int) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range g.Blocks[v].Succs {
-			if !reach[w] {
-				continue
-			}
-			if index[w] == -1 {
-				strong(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var scc []int
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			sort.Ints(scc)
-			sccs = append(sccs, scc)
-		}
-	}
-	for v := 0; v < n; v++ {
-		if reach[v] && index[v] == -1 {
-			strong(v)
-		}
-	}
-	return sccs
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // lintFind returns the diagnostics of the given pass.
-func lintFind(t *testing.T, code []isa.Instr, dataWords int, pass string) []Diag {
+func lintFind(t *testing.T, code []isa.Instr, pass string) []Diag {
 	t.Helper()
-	diags, err := LintCode(code, 0, dataWords)
+	diags, err := LintCode(code, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestLintUnreachable(t *testing.T) {
 		{Op: isa.LI, Rd: 1, Imm: 1}, // dead block
 		{Op: isa.HALT},
 	}
-	got := lintFind(t, code, 0, "unreachable")
+	got := lintFind(t, code, "unreachable")
 	if len(got) != 1 || got[0].PC != 1 {
 		t.Fatalf("unreachable diags = %v, want one at pc 1", got)
 	}
@@ -41,7 +41,7 @@ func TestLintUninitRead(t *testing.T) {
 		{Op: isa.ADD, Rd: 3, Rs: 4, Rt: 5}, // r4, r5 never written
 		{Op: isa.HALT},
 	}
-	got := lintFind(t, code, 0, "uninit-read")
+	got := lintFind(t, code, "uninit-read")
 	if len(got) != 2 || got[0].PC != 0 {
 		t.Fatalf("uninit-read diags = %v, want two at pc 0 (r4 and r5)", got)
 	}
@@ -54,7 +54,7 @@ func TestLintUninitRead(t *testing.T) {
 		{Op: isa.MOV, Rd: 3, Rs: 0},
 		{Op: isa.HALT},
 	}
-	if got := lintFind(t, clean, 0, "uninit-read"); len(got) != 0 {
+	if got := lintFind(t, clean, "uninit-read"); len(got) != 0 {
 		t.Fatalf("maybe-initialised reads must not be flagged, got %v", got)
 	}
 }
@@ -66,7 +66,7 @@ func TestLintDeadStore(t *testing.T) {
 		{Op: isa.ST, Rs: 0, Rt: 1, Imm: 0}, // mem[0] <- r1
 		{Op: isa.HALT},
 	}
-	got := lintFind(t, code, 8, "dead-store")
+	got := lintFind(t, code, "dead-store")
 	if len(got) != 1 || got[0].PC != 0 {
 		t.Fatalf("dead-store diags = %v, want exactly pc 0", got)
 	}
@@ -75,7 +75,7 @@ func TestLintDeadStore(t *testing.T) {
 		{Op: isa.LD, Rd: 2, Rs: 0, Imm: 0},
 		{Op: isa.HALT},
 	}
-	if got := lintFind(t, traffic, 8, "dead-store"); len(got) != 0 {
+	if got := lintFind(t, traffic, "dead-store"); len(got) != 0 {
 		t.Fatalf("unused load results must not be flagged, got %v", got)
 	}
 }
@@ -85,79 +85,15 @@ func TestLintWriteR0(t *testing.T) {
 		{Op: isa.LI, Rd: 0, Imm: 5},
 		{Op: isa.HALT},
 	}
-	got := lintFind(t, code, 0, "write-r0")
+	got := lintFind(t, code, "write-r0")
 	if len(got) != 1 || got[0].PC != 0 {
 		t.Fatalf("write-r0 diags = %v, want one at pc 0", got)
 	}
 }
 
-func TestLintOutOfSegment(t *testing.T) {
-	code := []isa.Instr{
-		{Op: isa.LI, Rd: 1, Imm: 100},
-		{Op: isa.LD, Rd: 2, Rs: 1, Imm: 0},  // word 100, segment is 8
-		{Op: isa.ST, Rs: 0, Rt: 2, Imm: -1}, // word -1
-		{Op: isa.ST, Rs: 0, Rt: 2, Imm: 3},  // in range
-		{Op: isa.HALT},
-	}
-	got := lintFind(t, code, 8, "oob-mem")
-	if len(got) != 2 || got[0].PC != 1 || got[1].PC != 2 {
-		t.Fatalf("oob-mem diags = %v, want pcs 1 and 2", got)
-	}
-	// Unknown (thread-dependent) bases are never flagged.
-	nac := []isa.Instr{
-		{Op: isa.MULI, Rd: 1, Rs: prog.RegTID, Imm: 1 << 40},
-		{Op: isa.LD, Rd: 2, Rs: 1, Imm: 0},
-		{Op: isa.HALT},
-	}
-	if got := lintFind(t, nac, 8, "oob-mem"); len(got) != 0 {
-		t.Fatalf("NAC addresses must not be flagged, got %v", got)
-	}
-}
-
-func TestLintFallOffEnd(t *testing.T) {
-	code := []isa.Instr{
-		{Op: isa.ADD, Rd: 1, Rs: 0, Rt: 0},
-	}
-	got := lintFind(t, code, 0, "fall-off-end")
-	if len(got) != 1 {
-		t.Fatalf("fall-off-end diags = %v, want one", got)
-	}
-}
-
-func TestLintInfiniteLoop(t *testing.T) {
-	spin := []isa.Instr{
-		{Op: isa.LI, Rd: 1, Imm: 0},
-		{Op: isa.JMP, Imm: 1}, // self-loop, no exit, no barrier
-	}
-	got := lintFind(t, spin, 0, "infinite-loop")
-	if len(got) != 1 {
-		t.Fatalf("infinite-loop diags = %v, want one", got)
-	}
-	// The same loop with a barrier is a synchronisation pattern, exempt.
-	sync := []isa.Instr{
-		{Op: isa.LI, Rd: 1, Imm: 0},
-		{Op: isa.BARRIER},
-		{Op: isa.JMP, Imm: 1},
-	}
-	if got := lintFind(t, sync, 0, "infinite-loop"); len(got) != 0 {
-		t.Fatalf("barrier loops must not be flagged, got %v", got)
-	}
-	// A loop with an exit edge terminates.
-	counted := []isa.Instr{
-		{Op: isa.LI, Rd: 1, Imm: 0},
-		{Op: isa.BGE, Rs: 1, Rt: 2, Imm: 4},
-		{Op: isa.ADDI, Rd: 1, Rs: 1, Imm: 1},
-		{Op: isa.JMP, Imm: 1},
-		{Op: isa.HALT},
-	}
-	if got := lintFind(t, counted, 0, "infinite-loop"); len(got) != 0 {
-		t.Fatalf("counted loops must not be flagged, got %v", got)
-	}
-}
-
 func TestLintRejectsBadBranch(t *testing.T) {
 	code := []isa.Instr{{Op: isa.JMP, Imm: 7}}
-	if _, err := LintCode(code, 0, 0); err == nil {
+	if _, err := LintCode(code, 0); err == nil {
 		t.Fatal("lint must refuse code whose CFG cannot be built")
 	}
 }
@@ -189,5 +125,15 @@ func TestLintBuilderProgram(t *testing.T) {
 			sb.WriteString(d.String() + "\n")
 		}
 		t.Fatalf("clean program produced diagnostics:\n%s", sb.String())
+	}
+}
+
+func TestSeverityStrings(t *testing.T) {
+	for sev, want := range map[Severity]string{
+		SevWarn: "warning", SevError: "error",
+	} {
+		if got := sev.String(); got != want {
+			t.Errorf("Severity(%d).String() = %q, want %q", sev, got, want)
+		}
 	}
 }

@@ -171,7 +171,7 @@ func TestVerifyRejectsBadStructure(t *testing.T) {
 }
 
 // TestVerifierReuse checks that one Verifier instance proves many slices of
-// the same program, the cmd/acrlint usage pattern.
+// the same program, the PlanCheckpointSites usage pattern.
 func TestVerifierReuse(t *testing.T) {
 	code := fig3()
 	v, err := NewVerifier(code, 0)

@@ -313,15 +313,20 @@ func (m *Manager) OnFirstStore(coreID int, addr, old int64) int64 {
 	return m.strat.OnFirstStore(m, coreID, addr, old)
 }
 
-// PredictFirstStore returns the stall OnFirstStore(coreID, addr, old)
-// would return, without side effects: nothing is logged, no statistics
-// move and no energy is charged. Speculative quanta use it to account the
+// PredictFirstStore returns the stall OnFirstStore would return, without
+// side effects: nothing is logged, no statistics move and no energy is
+// charged. The stall depends on the strategy's kind alone: full and tiered
+// log every first store inline, differential never stalls, and amnesic
+// kinds never speculate. Speculative quanta use it to account the
 // store-side stall before the real OnFirstStore replays at commit; the
 // engine checks at replay that the two agree.
 //
 //acr:spec-safe
-func (m *Manager) PredictFirstStore(addr, old int64) int64 {
-	return m.strat.Predict(m, addr, old)
+func (m *Manager) PredictFirstStore() int64 {
+	if _, diff := m.strat.(*diffStrategy); diff {
+		return 0
+	}
+	return InlineLogStallCycles
 }
 
 // groupLogWords sums the interval's logged words over the group's members.

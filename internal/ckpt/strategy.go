@@ -146,11 +146,6 @@ type Strategy interface {
 	// OnFirstStore handles the first update to addr within the open
 	// interval and returns the store-side stall in cycles.
 	OnFirstStore(m *Manager, coreID int, addr, old int64) int64
-	// Predict returns OnFirstStore's stall without side effects (the
-	// parallel engine predicts concurrently).
-	//
-	//acr:spec-safe
-	Predict(m *Manager, addr, old int64) int64
 	// Seal runs at establishment, before the log ring rotates and before
 	// the interval's log bits clear: the strategy captures
 	// interval-granular state (delta images, tier demotion) and reports
@@ -219,14 +214,6 @@ func (s logStrategy) OnFirstStore(m *Manager, coreID int, addr, old int64) int64
 	return InlineLogStallCycles
 }
 
-// Predict is only reached for the full kind: amnesic and auto runs never
-// speculate, so the omission branch of OnFirstStore needs no twin.
-//
-//acr:spec-safe
-func (s logStrategy) Predict(*Manager, int64, int64) int64 {
-	return InlineLogStallCycles
-}
-
 func (s logStrategy) Seal(*Manager, int64) SealInfo { return SealInfo{} }
 
 func (s logStrategy) SafeTarget(m *Manager, errTime int64) int {
@@ -264,11 +251,6 @@ func (t *tieredStrategy) OnFirstStore(m *Manager, coreID int, addr, old int64) i
 	m.logWordsByCore[coreID] += 2
 	// Log entry: address + old value written to the fast log tier.
 	m.meter.Add(energy.NVMWrite, 2)
-	return InlineLogStallCycles
-}
-
-//acr:spec-safe
-func (t *tieredStrategy) Predict(*Manager, int64, int64) int64 {
 	return InlineLogStallCycles
 }
 
@@ -337,9 +319,6 @@ func (d *diffStrategy) init(m *Manager) {
 }
 
 func (d *diffStrategy) OnFirstStore(*Manager, int, int64, int64) int64 { return 0 }
-
-//acr:spec-safe
-func (d *diffStrategy) Predict(*Manager, int64, int64) int64 { return 0 }
 
 func (d *diffStrategy) Seal(m *Manager, _ int64) SealInfo {
 	d.scratch = m.sys.AppendDirtyWords(d.scratch[:0])

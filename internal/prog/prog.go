@@ -32,9 +32,11 @@ type Program struct {
 }
 
 // Validate checks structural well-formedness: branch targets in range,
-// defined opcodes, register indices in range, and that every ASSOCADDR
+// defined opcodes, register indices in range, that every ASSOCADDR
 // immediately follows a store with the same address operands (the paper
-// requires ASSOC-ADDR to execute atomically with its store).
+// requires ASSOC-ADDR to execute atomically with its store), and that the
+// code ends in HALT or JMP, so no thread can fall through past the last
+// instruction.
 func (p *Program) Validate() error {
 	n := len(p.Code)
 	if p.Entry < 0 || p.Entry >= n {
@@ -61,6 +63,9 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("prog %s: pc %d: ASSOCADDR does not pair with preceding store %v", p.Name, pc, prev)
 			}
 		}
+	}
+	if last := p.Code[n-1]; last.Op != isa.HALT && last.Op != isa.JMP {
+		return fmt.Errorf("prog %s: pc %d: code ends in %v, so control falls through past the last instruction; end it with halt or jmp", p.Name, n-1, last)
 	}
 	return nil
 }

@@ -214,6 +214,29 @@ func TestValidateRejectsBadEntry(t *testing.T) {
 	}
 }
 
+func TestValidateRejectsFallOffEnd(t *testing.T) {
+	for _, last := range []isa.Instr{
+		{Op: isa.BARRIER},
+		{Op: isa.ADDI, Rd: 1, Rs: 1, Imm: 1},
+	} {
+		p := &Program{Name: "f", Code: []isa.Instr{{Op: isa.LI, Rd: 1, Imm: 3}, last}}
+		err := p.Validate()
+		if err == nil {
+			t.Fatalf("code ending in %v must fail validation", last)
+		}
+		if !strings.Contains(err.Error(), "pc 1") {
+			t.Errorf("error %q should name pc 1", err)
+		}
+	}
+	// A builder program missing its halt is refused at Build.
+	b := New("nohalt")
+	b.Li(1, 3)
+	b.Barrier()
+	if _, err := b.Build(); err == nil {
+		t.Error("Build must refuse code that falls off the end")
+	}
+}
+
 func TestMustBuildPanicsOnError(t *testing.T) {
 	b := New("panic")
 	l := b.NewLabel()

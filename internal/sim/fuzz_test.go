@@ -66,12 +66,8 @@ func randomProgram(rng *rand.Rand, threads int) *prog.Program {
 	return b.MustBuild()
 }
 
-// TestFuzzRecoveryInvisible is the repository's core end-to-end property:
-// for random programs, random checkpoint periods, random error schedules,
-// and every configuration (global/local × every strategy), the final memory
-// image is bit-identical to the error-free uncheckpointed run. Each
-// configuration also runs with full Slice tracking (trackAll) and at 4
-// workers, and every run must reproduce the serial filtered one exactly.
+// TestFuzzRecoveryInvisible is the repository's core end-to-end property
+// (checkRecoveryInvisible) over 25 fixed-seed random programs.
 func TestFuzzRecoveryInvisible(t *testing.T) {
 	trials := 25
 	if testing.Short() {
@@ -83,56 +79,99 @@ func TestFuzzRecoveryInvisible(t *testing.T) {
 		build := func() *prog.Program {
 			return randomProgram(rand.New(rand.NewSource(int64(500+trial))), threads)
 		}
+		checkRecoveryInvisible(t, "trial "+itoa(trial), rng, threads, build)
+	}
+}
 
-		ref, err := New(DefaultConfig(threads), build())
-		if err != nil {
-			t.Fatal(err)
-		}
-		refRes, err := ref.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := memWords(ref, build().DataWords)
+// byteSource is a rand.Source that spends one fuzz byte per draw, spread
+// over all 63 bits by a multiplicative hash so that both Intn's mask (low
+// bits) and its modulus (high bits) depend on it; an exhausted input reads
+// as zeros. A short input thus steers every decision its reader makes.
+type byteSource struct{ data []byte }
 
-		nCkpts := int64(3 + rng.Intn(8))
-		period := refRes.Cycles / (nCkpts + 1)
-		if period < 10 {
-			period = 10
-		}
-		errs := rng.Intn(3)
+func (s *byteSource) Int63() int64 {
+	var b byte
+	if len(s.data) > 0 {
+		b, s.data = s.data[0], s.data[1:]
+	}
+	return int64(uint64(b) * 0x9E3779B97F4A7C15 >> 1)
+}
 
-		for _, mode := range []ckpt.Mode{ckpt.Global, ckpt.Local} {
-			for _, kind := range ckpt.Kinds() {
-				if kind.GlobalOnly() && mode == ckpt.Local {
-					continue
+func (s *byteSource) Seed(int64) {}
+
+// FuzzRecoveryInvisible is TestFuzzRecoveryInvisible under coverage
+// guidance: config bytes draw the thread count, checkpoint period, error
+// count, embedding policy and placement; program bytes drive
+// randomProgram, so whatever the bytes, the kernel is barrier-correct.
+func FuzzRecoveryInvisible(f *testing.F) {
+	f.Fuzz(func(t *testing.T, config, program []byte) {
+		rng := rand.New(&byteSource{data: config})
+		threads := 2 + rng.Intn(3)
+		build := func() *prog.Program {
+			return randomProgram(rand.New(&byteSource{data: program}), threads)
+		}
+		checkRecoveryInvisible(t, "fuzz", rng, threads, build)
+	})
+}
+
+// checkRecoveryInvisible runs the program build makes under random
+// checkpoint periods and error schedules drawn from rng, in every
+// configuration (global/local × every strategy), and requires the final
+// memory image to be bit-identical to the error-free uncheckpointed run.
+// Each configuration also runs with full Slice tracking (trackAll) and at
+// 4 workers, and every run must reproduce the serial filtered one exactly,
+// so the relevance filter, the depth cap and the auto site plan that feeds
+// them never change a result.
+func checkRecoveryInvisible(t *testing.T, label string, rng *rand.Rand, threads int, build func() *prog.Program) {
+	t.Helper()
+	ref, err := New(DefaultConfig(threads), build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRes, err := ref.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := memWords(ref, build().DataWords)
+
+	nCkpts := int64(3 + rng.Intn(8))
+	period := refRes.Cycles / (nCkpts + 1)
+	if period < 10 {
+		period = 10
+	}
+	errs := rng.Intn(3)
+
+	for _, mode := range []ckpt.Mode{ckpt.Global, ckpt.Local} {
+		for _, kind := range ckpt.Kinds() {
+			if kind.GlobalOnly() && mode == ckpt.Local {
+				continue
+			}
+			cfg := DefaultConfig(threads)
+			cfg.Checkpointing = true
+			cfg.Mode = mode
+			cfg.PeriodCycles = period
+			cfg.Strategy = kind
+			if kind.Amnesic() {
+				cfg.ACR = acr.Config{Threshold: 10, MapCapacity: 4096}
+				if rng.Intn(2) == 0 {
+					cfg.ACR.Policy = acr.PolicyCost
 				}
-				cfg := DefaultConfig(threads)
-				cfg.Checkpointing = true
-				cfg.Mode = mode
-				cfg.PeriodCycles = period
-				cfg.Strategy = kind
-				if kind.Amnesic() {
-					cfg.ACR = acr.Config{Threshold: 10, MapCapacity: 4096}
-					if rng.Intn(2) == 0 {
-						cfg.ACR.Policy = acr.PolicyCost
-					}
-					cfg.AdaptivePlacement = rng.Intn(2) == 0
-				}
-				if errs > 0 {
-					cfg.Errors = fault.Uniform(errs, refRes.Cycles, period/2)
-				}
-				label := "trial " + itoa(trial) + " mode=" + mode.String() + " strategy=" + kind.String()
-				res, got := checkTrackAllInvisible(t, label, cfg, build())
-				if errs > 0 && res.Ckpt.Recoveries == 0 {
-					// An error may land after completion for very
-					// short runs; tolerate but note.
-					t.Logf("trial %d: no recovery triggered (run too short)", trial)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("trial %d mode=%v strategy=%v errs=%d: memory differs at %d: %d vs %d",
-							trial, mode, kind, errs, i, got[i], want[i])
-					}
+				cfg.AdaptivePlacement = rng.Intn(2) == 0
+			}
+			if errs > 0 {
+				cfg.Errors = fault.Uniform(errs, refRes.Cycles, period/2)
+			}
+			run := label + " mode=" + mode.String() + " strategy=" + kind.String()
+			res, got := checkTrackAllInvisible(t, run, cfg, build())
+			if errs > 0 && res.Ckpt.Recoveries == 0 {
+				// An error may land after completion for very
+				// short runs; tolerate but note.
+				t.Logf("%s: no recovery triggered (run too short)", run)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s errs=%d: memory differs at %d: %d vs %d",
+						run, errs, i, got[i], want[i])
 				}
 			}
 		}

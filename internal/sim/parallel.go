@@ -137,7 +137,7 @@ func (e *parallelEngine) SpecFirstStore(core int, cycle int64, addr, old int64) 
 	if m.mgr == nil {
 		return 0
 	}
-	stall := m.mgr.PredictFirstStore(addr, old)
+	stall := m.mgr.PredictFirstStore()
 	e.events[core] = append(e.events[core], hookEvent{
 		cycle: cycle, core: int32(core),
 		addr: addr, old: old, predicted: stall,
