@@ -3,15 +3,13 @@
 // Usage:
 //
 //	acrbench [-exp all|quick|tableI|fig1|fig6|fig7|fig8|fig9|tableII|fig10|fig11|fig12|fig13|scal|strategies]
-//	         [-threads N] [-class S|W|A] [-j N] [-workers N]
+//	         [-threads N] [-class S|W|A] [-j N]
 //	         [-strategy-benches is,cg,mg] [-strategy-cores 4,8]
 //	         [-strategy-errors 1] [-strategy-json matrix.json]
 //	         [-serve ADDR] [-journal runs.jsonl] [-linger DUR]
 //
-// -j sizes the driver's job pool (distinct machines in flight); -workers
-// sets the intra-run worker count per machine (the deterministic parallel
-// engine, bit-identical to serial execution). Amnesic strategies always run
-// serial quanta, so their results are bit-identical at every worker count.
+// -j sizes the driver's job pool (distinct machines in flight); results are
+// bit-identical at every pool size.
 //
 // -serve starts the HTTP observatory (internal/obsrv) on ADDR before the
 // sweep: every job registers in the live run registry, /metrics exposes the
@@ -41,7 +39,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -58,7 +55,6 @@ func main() {
 	class := flag.String("class", "W", "problem class (S, W, A)")
 	asCSV := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	jobs := flag.Int("j", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	workers := flag.Int("workers", 1, "intra-run simulation workers per machine (>1 = parallel engine, bit-identical to serial; amnesic strategies always run serial; 0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "print per-job wall-time and queue-wait reports")
 	stratBenches := flag.String("strategy-benches", "is,cg,mg", "benchmarks for -exp strategies (comma separated)")
 	stratCores := flag.String("strategy-cores", "4,8", "core counts for -exp strategies (comma separated)")
@@ -76,10 +72,6 @@ func main() {
 	p := bench.Params{Threads: *threads, Class: cl}
 	r := bench.NewRunner()
 	r.Workers = *jobs
-	r.SimWorkers = *workers
-	if r.SimWorkers == 0 {
-		r.SimWorkers = runtime.GOMAXPROCS(0)
-	}
 
 	var registry *obsrv.Registry
 	if *serveAddr != "" {

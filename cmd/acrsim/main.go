@@ -4,7 +4,7 @@
 // Usage:
 //
 //	acrsim -bench is [-config ReCkpt_E] [-strategy auto] [-threads 8]
-//	       [-class W] [-ckpts 25] [-errors 1] [-threshold 0] [-workers 1]
+//	       [-class W] [-ckpts 25] [-errors 1] [-threshold 0]
 //	       [-v] [-trace out.json] [-metrics out.prom] [-profile out.json]
 //	       [-serve ADDR] [-journal runs.jsonl] [-linger DUR]
 //	acrsim -list-strategies
@@ -15,16 +15,6 @@
 // -strategy overrides the scheme while keeping the -config modifiers, so
 // `-config Ckpt_E -strategy tiered` runs TierCkpt_E; -list-strategies
 // prints the available schemes and exits.
-//
-// -workers N with N > 1 executes each simulated machine through the
-// deterministic parallel engine (conflict-checked speculative rounds,
-// bit-identical to serial execution); 0 means GOMAXPROCS. Amnesic
-// strategies (ReCkpt_*, AutoCkpt_*) always run serial quanta, so their
-// results are bit-identical at every worker count too. The telemetry
-// replay always runs serially, so exporting with -workers > 1 doubles as a
-// parallel-vs-serial determinism cross-check; the engine diagnostics
-// (acr_sched_*, acr_parallel_*) come from a second replay through the
-// parallel engine.
 //
 // -trace writes the run's cycle-domain timeline as Chrome trace-event JSON
 // (load it at https://ui.perfetto.dev), -metrics writes a Prometheus text
@@ -44,7 +34,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -65,7 +54,6 @@ func main() {
 	ckpts := flag.Int("ckpts", 0, "checkpoints per run (0 = paper default 25)")
 	errs := flag.Int("errors", 0, "override error count for _E configurations")
 	threshold := flag.Int("threshold", 0, "Slice-length threshold override (0 = benchmark default)")
-	workers := flag.Int("workers", 1, "intra-run simulation workers (>1 = parallel engine, bit-identical to serial; amnesic strategies always run serial; 0 = GOMAXPROCS)")
 	strategy := flag.String("strategy", "", "checkpoint-strategy override: full|amnesic|differential|tiered|auto (aliases: diff, tier); keeps -config's _E/,Loc modifiers")
 	listStrategies := flag.Bool("list-strategies", false, "list the checkpoint strategies and exit")
 	verbose := flag.Bool("v", false, "print checkpoint interval details")
@@ -106,14 +94,8 @@ func main() {
 		spec.Errors = *errs
 	}
 
-	simWorkers := *workers
-	if simWorkers == 0 {
-		simWorkers = runtime.GOMAXPROCS(0)
-	}
-
 	p := bench.Params{Threads: *threads, Class: cl}
 	r := bench.NewRunner()
-	r.SimWorkers = simWorkers
 
 	var registry *obsrv.Registry
 	var server *obsrv.Server
@@ -150,8 +132,7 @@ func main() {
 	base, res := out[0], out[1]
 
 	if *traceOut != "" || *metricsOut != "" || *profileOut != "" {
-		if err := exportTelemetry(r, *benchName, p, spec, res, simWorkers,
-			*traceOut, *metricsOut, *profileOut); err != nil {
+		if err := exportTelemetry(r, *benchName, p, spec, res, *traceOut, *metricsOut, *profileOut); err != nil {
 			fatal(err)
 		}
 	}
@@ -214,26 +195,18 @@ func main() {
 	}
 }
 
-// exportTelemetry replays the configured run once with a metrics Collector
-// and (optionally) a Chrome tracer attached, then writes the requested
-// artifacts. The replay reuses the calibrated period from the memoised run
-// and executes serially (the serial scheduler is the determinism oracle),
-// so it must be bit-identical to the summary already printed — whatever
-// worker count produced that summary. A divergence is a determinism bug —
-// with mainWorkers > 1, specifically a parallel-engine bug — and aborts the
-// export rather than silently emitting a profile of a different execution.
-// The engine diagnostics describe the engine that produced the summary, so
-// with mainWorkers > 1 the SchedCollector observes a second replay through
-// the parallel engine.
+// exportTelemetry replays the configured run once with a metrics Collector,
+// the engine-diagnostics collector and (optionally) a Chrome tracer
+// attached, then writes the requested artifacts. The replay reuses the
+// calibrated period from the memoised run, so it must be bit-identical to
+// the summary already printed. A divergence is a determinism bug and
+// aborts the export rather than silently emitting a profile of a different
+// execution.
 func exportTelemetry(r *bench.Runner, benchName string, p bench.Params, spec bench.Spec,
-	want sim.Result, mainWorkers int, traceOut, metricsOut, profileOut string) error {
+	want sim.Result, traceOut, metricsOut, profileOut string) error {
 	reg := telemetry.NewRegistry()
 	col := telemetry.NewCollector(reg)
-	sched := telemetry.NewSchedCollector(reg)
-	obs := []sim.Observer{col}
-	if mainWorkers <= 1 {
-		obs = append(obs, sched)
-	}
+	obs := []sim.Observer{col, telemetry.NewSchedCollector(reg)}
 
 	var tracer *telemetry.Tracer
 	if traceOut != "" {
@@ -246,22 +219,15 @@ func exportTelemetry(r *bench.Runner, benchName string, p bench.Params, spec ben
 		obs = append(obs, tracer)
 	}
 
-	r.SimWorkers = 1
 	res, err := r.RunObserved(benchName, p, spec, obs...)
 	if err != nil {
 		return err
 	}
 	if res.Cycles != want.Cycles || res.Instrs != want.Instrs {
-		return fmt.Errorf("telemetry replay (workers=1) diverged from the reported run (workers=%d): %d cycles / %d instrs, want %d / %d — determinism bug, export aborted",
-			mainWorkers, res.Cycles, res.Instrs, want.Cycles, want.Instrs)
+		return fmt.Errorf("telemetry replay diverged from the reported run: %d cycles / %d instrs, want %d / %d — determinism bug, export aborted",
+			res.Cycles, res.Instrs, want.Cycles, want.Instrs)
 	}
 	col.ObserveResult(res)
-	if mainWorkers > 1 && (metricsOut != "" || profileOut != "") {
-		r.SimWorkers = mainWorkers
-		if _, err := r.RunObserved(benchName, p, spec, sched); err != nil {
-			return err
-		}
-	}
 
 	if tracer != nil {
 		if err := tracer.Close(); err != nil {

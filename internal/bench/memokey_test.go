@@ -68,8 +68,8 @@ func TestMemoKeyProbesPairwiseDistinct(t *testing.T) {
 // TestMemoExemptKnobsShareCell: a knob declared in memoExemptKnobs promises
 // the opposite direction — changing an exempt Runner knob must neither open
 // a new cache cell nor change the memoised result. The declared knobs
-// (Workers, SimWorkers) are flipped across their interesting settings —
-// SimWorkers leaning on the parallel engine's bit-identity guarantee.
+// (Workers, SimWorkers) are flipped across their interesting settings;
+// SimWorkers is unread, so it must be inert.
 func TestMemoExemptKnobsShareCell(t *testing.T) {
 	p := tinyParams()
 	spec := Spec{Ckpt: true, Strategy: ckpt.KindAmnesic, NumCkpts: 10}

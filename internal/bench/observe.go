@@ -17,13 +17,6 @@ import (
 // is bit-identical to the cached run — the observers see the single
 // converged execution, and the returned Result equals Run's.
 //
-// The replay runs at r.SimWorkers, so engine diagnostics delivered to a
-// sim.SchedStatsObserver describe the configured engine. Setting
-// SimWorkers to 1 for the replay makes it the serial oracle: when the
-// cached run used the parallel engine, comparing the replayed Result
-// against the cached one cross-checks workers>1 against workers=1 — a
-// divergence is a parallel-determinism bug the caller must surface, not
-// export around.
 // A runner with a Lifecycle attached additionally registers the observed
 // job: the lifecycle's observers join the replay (seeing exactly the
 // converged execution) and JobEnd receives the replayed Result.

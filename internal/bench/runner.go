@@ -134,12 +134,10 @@ type Runner struct {
 	// and results return in job order — so the knob stays outside the key.
 	Workers int
 
-	// SimWorkers is the intra-run worker count handed to
-	// sim.Config.Workers (0 or 1 = serial execution). The parallel engine
-	// is bit-identical to the serial scheduler — any speculative round
-	// that fails its conflict check is discarded and replayed serially —
-	// so SimWorkers is deliberately not part of the memoisation key: a
-	// cache warmed at one worker count serves every other.
+	// SimWorkers is unread: every machine runs the one serial engine. It
+	// remains only because the benchmark harness under perfbench/ still
+	// assigns it; the next change to that harness drops the assignment,
+	// and then this field goes too.
 	SimWorkers int
 
 	// Lifecycle, when non-nil, receives job begin/end notifications from
@@ -266,8 +264,8 @@ func ckptBudget(spec Spec) int64 {
 
 // MachineConfig translates job j into the sim.Config the Runner executes it
 // with, at the given checkpoint period and ROI start (both unused when the
-// spec does not checkpoint). The checkpoint budget is Spec.NumCkpts. The
-// engine width (Workers) and Observers are left at their defaults.
+// spec does not checkpoint). The checkpoint budget is Spec.NumCkpts.
+// Observers are left at their default.
 func MachineConfig(j Job, period, roi int64) (sim.Config, error) {
 	bench, err := workloads.ByName(j.Bench)
 	if err != nil {
@@ -319,10 +317,9 @@ func machineConfig(bench workloads.Bench, j Job, period, roi int64) sim.Config {
 	return cfg
 }
 
-// execute builds and runs one machine for job j at r.SimWorkers.
+// execute builds and runs one machine for job j.
 func (r *Runner) execute(bench workloads.Bench, j Job, period, roi int64, obs ...sim.Observer) (sim.Result, error) {
 	cfg := machineConfig(bench, j, period, roi)
-	cfg.Workers = r.SimWorkers
 	cfg.Observers = obs
 	program, err := bench.Build(j.Params.Threads, j.Params.Class)
 	if err != nil {

@@ -313,22 +313,6 @@ func (m *Manager) OnFirstStore(coreID int, addr, old int64) int64 {
 	return m.strat.OnFirstStore(m, coreID, addr, old)
 }
 
-// PredictFirstStore returns the stall OnFirstStore would return, without
-// side effects: nothing is logged, no statistics move and no energy is
-// charged. The stall depends on the strategy's kind alone: full and tiered
-// log every first store inline, differential never stalls, and amnesic
-// kinds never speculate. Speculative quanta use it to account the
-// store-side stall before the real OnFirstStore replays at commit; the
-// engine checks at replay that the two agree.
-//
-//acr:spec-safe
-func (m *Manager) PredictFirstStore() int64 {
-	if _, diff := m.strat.(*diffStrategy); diff {
-		return 0
-	}
-	return InlineLogStallCycles
-}
-
 // groupLogWords sums the interval's logged words over the group's members.
 // The plain indexed loop (rather than CoreSet.ForEach with a closure) keeps
 // the per-checkpoint path allocation-free.

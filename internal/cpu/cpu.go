@@ -4,10 +4,9 @@
 // retire at the issue rate (4 per cycle), memory instructions stall for the
 // latency of the cache level that services them.
 //
-// Both execution paths — the Step interpreter and the speculative SpecStep
-// — are deterministic functions of architectural state: no wall-clock
-// reads, no process-global randomness, no map-iteration order. The sim
-// package's bit-identity oracles depend on it.
+// The Step interpreter is a deterministic function of architectural state:
+// no wall-clock reads, no process-global randomness, no map-iteration
+// order. The sim package's bit-identity oracles depend on it.
 package cpu
 
 import (
@@ -130,8 +129,6 @@ func New(id int, entry int, nThreads int) *Core {
 }
 
 // Cycles returns the core-local clock in cycles.
-//
-//acr:spec-safe
 func (c *Core) Cycles() int64 { return c.quarters / qPerCycle }
 
 // AddCycles advances the core-local clock (checkpoint stalls, recovery

@@ -85,8 +85,6 @@ func Default22nm() *Model {
 
 // Meter accumulates energy against a Model. Meters are not safe for
 // concurrent use; the simulator charges them from one goroutine only.
-// During parallel rounds, workers count events into private Accums and the
-// committing goroutine folds them in with Merge.
 type Meter struct {
 	model  *Model
 	counts [numEvents]uint64
@@ -155,34 +153,3 @@ func (m *Meter) Reset() {
 // Snapshot returns the current total; callers diff snapshots to attribute
 // energy to execution phases.
 func (m *Meter) Snapshot() float64 { return m.TotalPJ() }
-
-// Accum is a detached event accumulator: a worker executing a speculative
-// quantum counts events into a private Accum, and the committing goroutine
-// folds it into the Meter. Counts are commutative sums, so the merge order
-// cannot affect any total the Meter reports.
-type Accum struct {
-	counts [numEvents]uint64
-}
-
-// Add counts n occurrences of event e.
-//
-//acr:spec-safe
-func (a *Accum) Add(e Event, n uint64) { a.counts[e] += n }
-
-// Reset clears the accumulator for reuse.
-//
-//acr:spec-safe
-func (a *Accum) Reset() { a.counts = [numEvents]uint64{} }
-
-// Empty reports whether the accumulator holds no counts.
-func (a *Accum) Empty() bool { return a.counts == [numEvents]uint64{} }
-
-// Merge folds a's counts into the meter. Must be called on the goroutine
-// that owns the meter.
-//
-//acr:spec-safe
-func (m *Meter) Merge(a *Accum) {
-	for e, n := range a.counts {
-		m.counts[e] += n
-	}
-}

@@ -12,18 +12,16 @@ import "math"
 // EvalALU panics if op is not an ALU operation; callers gate on Op.IsALU.
 //
 // EvalALU dispatches through the aluFns specialisation table (alufn.go),
-// so the interpreter, the speculative engine and the Slice recomputation
-// engine execute the identical machine code for every op. Sharing one
+// so the interpreter and the Slice recomputation engine execute the
+// identical machine code for every op. Sharing one
 // code path is what makes floating-point results bit-identical across
 // them even for NaN payloads, whose propagation the language does not pin
 // down across separately compiled expressions.
-//
-//acr:spec-safe
 func EvalALU(op Op, a, b, c, imm int64) int64 {
 	if !op.IsALU() {
 		panic("isa: EvalALU on non-ALU op " + op.String())
 	}
-	return aluFns[op](a, b, c, imm) //acr:spec-ok pure table entries, written once at init
+	return aluFns[op](a, b, c, imm)
 }
 
 // evalALUSwitch is the reference switch form of EvalALU, retained for the
@@ -112,8 +110,6 @@ func evalALUSwitch(op Op, a, b, c, imm int64) int64 {
 
 // BranchTaken reports whether a branch with source values a, b is taken.
 // JMP is unconditionally taken. BranchTaken panics on non-branch ops.
-//
-//acr:spec-safe
 func BranchTaken(op Op, a, b int64) bool {
 	switch op {
 	case BEQ:
@@ -136,8 +132,6 @@ func F2I(f float64) int64 { return f2i(f) }
 // I2F interprets a register value as a float64.
 func I2F(v int64) float64 { return i2f(v) }
 
-//acr:spec-safe
 func f2i(f float64) int64 { return int64(math.Float64bits(f)) }
 
-//acr:spec-safe
 func i2f(v int64) float64 { return math.Float64frombits(uint64(v)) }

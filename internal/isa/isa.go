@@ -119,8 +119,6 @@ func (o Op) Valid() bool { return o < numOps }
 // operation (integer or floating point). Exactly these ops may appear in a
 // Slice: the paper requires Slices to contain no memory instructions and no
 // branches (§II-B, §III-A).
-//
-//acr:spec-safe
 func (o Op) IsALU() bool {
 	switch o {
 	case ADD, SUB, MUL, DIV, REM, AND, OR, XOR, SHL, SHR, SLT,
@@ -133,8 +131,6 @@ func (o Op) IsALU() bool {
 
 // IsFloat reports whether o operates on floating point data. Used by the
 // energy model, which charges FPU ops more than integer ALU ops.
-//
-//acr:spec-safe
 func (o Op) IsFloat() bool {
 	switch o {
 	case FADD, FSUB, FMUL, FDIV, FNEG, FABS, FSQRT, FMA, CVTF, CVTI, FLT:
@@ -147,8 +143,6 @@ func (o Op) IsFloat() bool {
 func (o Op) IsMem() bool { return o == LD || o == ST }
 
 // IsBranch reports whether o may redirect control flow.
-//
-//acr:spec-safe
 func (o Op) IsBranch() bool {
 	switch o {
 	case BEQ, BNE, BLT, BGE, JMP:

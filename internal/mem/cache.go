@@ -49,20 +49,6 @@ type Cache struct {
 	mru  []int32
 	tick uint64
 
-	// Speculative rollback journal (BeginSpec/CommitSpec/AbortSpec): while
-	// spec is set, Access copies a set's ways and MRU slot into the journal
-	// before first touching it, so AbortSpec can restore the cache
-	// bit-identically to the round start. specEpoch stamps which sets are
-	// already journaled this round (bumping specCur invalidates all stamps
-	// in O(1)).
-	spec      bool
-	specEpoch []uint32
-	specCur   uint32
-	jSets     []int32
-	jWays     []way
-	jMRU      []int32
-	jTick     uint64
-
 	// dirtySets lists the sets that may hold dirty lines, so the flush
 	// scans touch O(dirty sets × ways) entries instead of every line —
 	// the full-array scan at every checkpoint was the dominant cost of
@@ -91,13 +77,9 @@ func NewCache(cfg CacheConfig) *Cache {
 	}
 }
 
-// noteDirty flags set as possibly holding dirty lines. Spec-safe without
-// journaling: the list over-approximates by contract, so a flag left by an
-// aborted round is harmless — flush re-checks the per-line dirty bits,
-// which the journal does restore.
+// noteDirty flags set as possibly holding dirty lines.
 //
 //acr:noalloc
-//acr:spec-safe
 func (c *Cache) noteDirty(set int) {
 	if c.dirtyEpoch[set] == c.dirtyCur {
 		return
@@ -126,15 +108,10 @@ func (c *Cache) clearDirtySets() {
 // temporal locality makes it the common hit, and skipping the scan does
 // not change which way would have hit (tags are unique within a set) nor
 // any LRU decision (victim choice reads the same tick values either way).
-//
-//acr:spec-safe
 func (c *Cache) Access(line int64, markDirty bool) (hit bool, evicted int64, evictedDirty bool) {
 	key := line + 1
 	set := int(uint64(line) & uint64(c.sets-1))
 	base := set * c.ways
-	if c.spec {
-		c.journalTouch(set, base)
-	}
 	c.tick++
 	if m := &c.lines[base+int(c.mru[set])]; m.tag == key {
 		m.tick = c.tick
@@ -220,66 +197,6 @@ func (c *Cache) DirtyLines() int {
 		}
 	}
 	return n
-}
-
-// BeginSpec opens a speculative round: subsequent Accesses journal each
-// touched set's pre-round contents so AbortSpec can undo them. Rounds do
-// not nest. Accesses outside a round pay no journaling cost (one branch).
-//
-//acr:spec-safe
-func (c *Cache) BeginSpec() {
-	if c.specEpoch == nil {
-		c.specEpoch = make([]uint32, c.sets)
-	}
-	c.specCur++
-	if c.specCur == 0 { // epoch wrapped: hard-clear stale stamps
-		clear(c.specEpoch)
-		c.specCur = 1
-	}
-	c.jSets = c.jSets[:0]
-	c.jWays = c.jWays[:0]
-	c.jMRU = c.jMRU[:0]
-	c.jTick = c.tick
-	c.spec = true
-}
-
-// CommitSpec keeps the round's accesses and discards the journal.
-//
-//acr:spec-safe
-func (c *Cache) CommitSpec() { c.spec = false }
-
-// AbortSpec restores every set touched since BeginSpec, and the LRU clock,
-// to their pre-round state. Restored sets holding dirty lines are
-// re-flagged: a flush between the flag's original setting and this abort
-// would have cleared the flag, so membership is re-derived from the
-// restored dirty bits rather than assumed.
-//
-//acr:spec-safe
-func (c *Cache) AbortSpec() {
-	for i, set := range c.jSets {
-		base := int(set) * c.ways
-		copy(c.lines[base:base+c.ways], c.jWays[i*c.ways:(i+1)*c.ways])
-		c.mru[set] = c.jMRU[i]
-		for w := 0; w < c.ways; w++ {
-			if c.lines[base+w].dirty {
-				c.noteDirty(int(set))
-				break
-			}
-		}
-	}
-	c.tick = c.jTick
-	c.spec = false
-}
-
-//acr:spec-safe
-func (c *Cache) journalTouch(set, base int) {
-	if c.specEpoch[set] == c.specCur {
-		return
-	}
-	c.specEpoch[set] = c.specCur
-	c.jSets = append(c.jSets, int32(set))
-	c.jWays = append(c.jWays, c.lines[base:base+c.ways]...)
-	c.jMRU = append(c.jMRU, c.mru[set])
 }
 
 // Reset invalidates the whole cache.

@@ -18,23 +18,17 @@ func NewCoreSet(nCores int) CoreSet {
 }
 
 // Has reports whether core is in the set.
-//
-//acr:spec-safe
 func (s CoreSet) Has(core int) bool {
 	w := core >> 6
 	return w < len(s) && s[w]&(1<<uint(core&63)) != 0
 }
 
 // Add inserts core into the set.
-//
-//acr:spec-safe
 func (s CoreSet) Add(core int) {
 	s[core>>6] |= 1 << uint(core&63)
 }
 
 // Or unions t into s.
-//
-//acr:spec-safe
 func (s CoreSet) Or(t CoreSet) {
 	for i, w := range t {
 		s[i] |= w
@@ -42,8 +36,6 @@ func (s CoreSet) Or(t CoreSet) {
 }
 
 // Count returns the number of cores in the set.
-//
-//acr:spec-safe
 func (s CoreSet) Count() int {
 	n := 0
 	for _, w := range s {
@@ -53,8 +45,6 @@ func (s CoreSet) Count() int {
 }
 
 // Empty reports whether the set has no members.
-//
-//acr:spec-safe
 func (s CoreSet) Empty() bool {
 	for _, w := range s {
 		if w != 0 {
@@ -65,8 +55,6 @@ func (s CoreSet) Empty() bool {
 }
 
 // Intersects reports whether s and t share a member.
-//
-//acr:spec-safe
 func (s CoreSet) Intersects(t CoreSet) bool {
 	for i, w := range t {
 		if s[i]&w != 0 {
@@ -77,8 +65,6 @@ func (s CoreSet) Intersects(t CoreSet) bool {
 }
 
 // Reset clears the set.
-//
-//acr:spec-safe
 func (s CoreSet) Reset() {
 	for i := range s {
 		s[i] = 0

@@ -58,6 +58,18 @@ type ConfigError struct {
 
 func (e *ConfigError) Error() string { return "mem: invalid config: " + e.Reason }
 
+// AddressError reports a load or store outside data memory. Load and Store
+// panic with it — the access path carries no error return — and
+// sim.Machine.Run recovers exactly this type into an error.
+type AddressError struct {
+	Addr  int64
+	Words int
+}
+
+func (e *AddressError) Error() string {
+	return fmt.Sprintf("mem: address %d out of range [0,%d)", e.Addr, e.Words)
+}
+
 // coreCaches is the private cache stack of one core.
 type coreCaches struct {
 	l1d *Cache
@@ -209,10 +221,9 @@ func (s *System) ReadWord(addr int64) int64 { return s.dram[addr] }
 // explicitly by the recovery handler).
 func (s *System) WriteWord(addr, val int64) { s.dram[addr] = val }
 
-//acr:spec-safe
 func (s *System) checkAddr(addr int64) {
 	if addr < 0 || addr >= int64(s.words) {
-		panic(fmt.Sprintf("mem: address %d out of range [0,%d)", addr, s.words))
+		panic(&AddressError{Addr: addr, Words: s.words})
 	}
 }
 

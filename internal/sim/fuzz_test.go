@@ -118,9 +118,9 @@ func FuzzRecoveryInvisible(f *testing.F) {
 // checkpoint periods and error schedules drawn from rng, in every
 // configuration (global/local × every strategy), and requires the final
 // memory image to be bit-identical to the error-free uncheckpointed run.
-// Each configuration also runs with full Slice tracking (trackAll) and at
-// 4 workers, and every run must reproduce the serial filtered one exactly,
-// so the relevance filter, the depth cap and the auto site plan that feeds
+// Each amnesic-family configuration also runs with full Slice tracking
+// (trackAll), which must reproduce the filtered run exactly, so the
+// relevance filter, the depth cap and the auto site plan that feeds
 // them never change a result.
 func checkRecoveryInvisible(t *testing.T, label string, rng *rand.Rand, threads int, build func() *prog.Program) {
 	t.Helper()

@@ -84,16 +84,6 @@ type Config struct {
 	// MaxSteps bounds total instruction executions as a runaway guard.
 	MaxSteps int64
 
-	// Workers selects intra-run parallelism: up to Workers OS threads
-	// execute independent cores' quanta concurrently in conflict-checked
-	// speculative rounds (parallel.go), committing in the serial merge
-	// order and falling back to serial replay on conflict. Amnesic
-	// strategies (amnesic, auto) always run serial quanta, whatever
-	// Workers says: speculating their Slice tracking never paid. Results
-	// are bit-identical to Workers<=1 for every configuration; only
-	// wall-clock time changes. 0 and 1 mean serial execution.
-	Workers int
-
 	// noCoalesce selects the flat scheduler: quantum coalescing (see
 	// Machine.run) is switched off. Coalescing is bit-identical to the flat
 	// scheduler — only wall clock and SchedStats move — so the flat form
@@ -300,8 +290,8 @@ func New(cfg Config, p *prog.Program) (*Machine, error) {
 			return nil, err
 		}
 		// The schedule carries a consumption cursor; clone it so two
-		// machines built from one Config (e.g. a serial oracle and a
-		// parallel run under comparison) don't steal each other's errors.
+		// machines built from one Config (e.g. a coalescing run and its
+		// flat-scheduler reference) don't steal each other's errors.
 		errs := *cfg.Errors
 		cfg.Errors = &errs
 	}
@@ -431,7 +421,7 @@ const handlerCycles = 25
 // completes, the machine hands the engine's dispatch diagnostics to every
 // configured observer that implements it. Kept separate from the event
 // stream because SchedStats describe the engine, not the simulated
-// machine — they vary with coalescing and Workers while Result does not.
+// machine — they vary with coalescing while Result does not.
 type SchedStatsObserver interface {
 	ObserveSchedStats(SchedStats)
 }
@@ -447,15 +437,11 @@ type SchedStatsObserver interface {
 // interleaving — and therefore every statistic — is bit-identical to the
 // per-instruction scheduling it replaces.
 //
-// With Workers > 1 the same loop also drives the parallel engine
-// (parallel.go): when two or more cores can move before the round horizon,
-// the pick runs a speculative round instead of a quantum. An aborted round
-// leaves its span to the serial quanta of this loop — the oracle — until
-// the picked core's clock reaches the round's horizon. Amnesic strategies
-// build no engine: they run the serial quanta at every Workers value, so
-// their results are bit-identical at every worker count by construction.
-func (m *Machine) Run() (Result, error) {
-	res, err := m.run()
+// A load or store outside data memory ends the run with an error wrapping
+// the *mem.AddressError, naming the core and pc that issued it.
+func (m *Machine) Run() (res Result, err error) {
+	defer m.recoverAddressError(&err)
+	res, err = m.run()
 	if err == nil {
 		for _, o := range m.cfg.Observers {
 			if so, ok := o.(SchedStatsObserver); ok {
@@ -466,16 +452,25 @@ func (m *Machine) Run() (Result, error) {
 	return res, err
 }
 
-func (m *Machine) run() (Result, error) {
-	var e *parallelEngine
-	if m.cfg.Workers > 1 && len(m.cores) > 1 && !m.cfg.Strategy.Amnesic() {
-		e = newParallelEngine(m)
-		defer e.shutdown()
+// recoverAddressError turns an out-of-range access panic into Run's error.
+// Only *mem.AddressError is recovered; any other panic is a simulator bug
+// and propagates. Memory instructions retire only in the quantum of the
+// scheduler's last pick (coalescing retires none eagerly), and the core's
+// PC still addresses the faulting instruction.
+func (m *Machine) recoverAddressError(err *error) {
+	p := recover()
+	if p == nil {
+		return
 	}
-	// replayTo is the horizon of the last aborted round: until the picked
-	// core's clock reaches it, the span replays serially. Speculating
-	// sooner would retry the same conflicting round forever.
-	var replayTo int64
+	ae, ok := p.(*mem.AddressError)
+	if !ok {
+		panic(p)
+	}
+	c := m.cores[m.sched.lastIdx]
+	*err = fmt.Errorf("sim: core %d pc %d: %w", c.ID, c.PC, ae)
+}
+
+func (m *Machine) run() (Result, error) {
 	// The armed-event queries are cached across quanta: next() depends
 	// only on state the event handlers themselves mutate (checkpoint
 	// schedule and budget in onBoundary/establish, the fault schedule's
@@ -519,34 +514,6 @@ func (m *Machine) run() (Result, error) {
 			continue
 		}
 
-		replaying := horizon < replayTo
-		if e != nil && !replaying {
-			// Round horizon: the next armed event, capped to a span so
-			// conflicts stay quantum-granular in event-free stretches.
-			h := horizon + roundSpanCycles
-			if haveCkpt && ckptTime < h {
-				h = ckptTime
-			}
-			if haveErr && errDetect < h {
-				h = errDetect
-			}
-			if e.collect(h) >= 2 {
-				committed, err := e.round(h)
-				if err != nil {
-					return Result{}, err
-				}
-				if !committed {
-					replayTo = h
-				}
-				if m.steps > m.cfg.MaxSteps {
-					return Result{}, fmt.Errorf("sim: exceeded %d steps (runaway program?)", m.cfg.MaxSteps)
-				}
-				continue
-			}
-			// One movable core: speculation buys nothing.
-			m.schedStats.SerialQuanta++
-		}
-
 		// No event before the horizon: run the quantum. Coalescing first
 		// tries to raise the bound by eagerly retiring peers' core-private
 		// prefixes — capped by the coalescing window and, crucially, by
@@ -554,7 +521,6 @@ func (m *Machine) run() (Result, error) {
 		// checkpoint boundary or an error-detection point. The bound then
 		// shrinks to the next armed event as before, so the event fires
 		// exactly when the minimum clock reaches it.
-		before := m.steps
 		if !m.cfg.noCoalesce && bound != unbounded {
 			ceil := c.Cycles() + coalesceWindow
 			if haveCkpt && ckptTime < ceil {
@@ -577,11 +543,7 @@ func (m *Machine) run() (Result, error) {
 		if haveErr && errDetect < bound {
 			bound = errDetect
 		}
-		err := m.stepSpan(c, bound)
-		if replaying {
-			m.schedStats.ReplayInstrs += m.steps - before
-		}
-		if err != nil {
+		if err := m.stepSpan(c, bound); err != nil {
 			return Result{}, err
 		}
 	}
@@ -625,10 +587,9 @@ const coalesceWindow = 64
 // long register-only stretch cannot monopolise the run loop between picks.
 const maxEagerSteps = 256
 
-// SchedStats summarises the engine's dispatch granularity and what the
-// parallel engine did. These are engine diagnostics — they are not part of
-// the architectural Result, so Result stays bit-identical with coalescing
-// on or off and across Workers settings.
+// SchedStats summarises the engine's dispatch granularity. These are engine
+// diagnostics — they are not part of the architectural Result, so Result
+// stays bit-identical with coalescing on or off.
 type SchedStats struct {
 	// Spans counts dispatched quanta; SpanInstrs the instructions retired
 	// per dispatch — the picked core's quantum plus any peer instructions
@@ -646,19 +607,6 @@ type SchedStats struct {
 	// counts empty quanta, bucket i>0 counts lengths in [2^(i-1), 2^i).
 	// The last bucket absorbs overflow.
 	QuantumHist [16]int64
-
-	// Rounds counts speculative rounds attempted (Workers > 1, and never
-	// under an amnesic strategy);
-	// Committed and Aborted partition them. SerialQuanta counts quanta
-	// run serially because fewer than two cores were eligible.
-	Rounds       int64
-	Committed    int64
-	Aborted      int64
-	SerialQuanta int64
-	// SpecInstrs counts instructions executed speculatively and committed;
-	// ReplayInstrs counts instructions re-executed serially after aborts.
-	SpecInstrs   int64
-	ReplayInstrs int64
 }
 
 //acr:noalloc

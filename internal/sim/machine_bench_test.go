@@ -3,7 +3,6 @@ package sim
 import (
 	"flag"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"acr/internal/ckpt"
@@ -60,34 +59,19 @@ func benchRun(b *testing.B, cfg Config, p *prog.Program) {
 	}
 }
 
-// benchWorkersDim is the workers dimension of the benchmark matrix: serial
-// execution plus the parallel engine at GOMAXPROCS. On a single-CPU host
-// GOMAXPROCS degenerates to 1, so 4 stands in — there the parallel rows
-// measure the engine's coordination overhead, not speedup.
-func benchWorkersDim() []int {
-	if gmp := runtime.GOMAXPROCS(0); gmp > 1 {
-		return []int{1, gmp}
-	}
-	return []int{1, 4}
-}
-
 // BenchmarkMachineRun measures the simulator's hot loop — the quantum-
 // batched scheduler plus core stepping — at the paper's three machine
-// scales plus 128/256-core rows, with and without
-// (amnesic) checkpointing, serial and through the parallel engine. The
-// reported metric is wall-clock per simulated run; sim-MIPS puts it in
+// scales plus 128/256-core rows, with and without (amnesic) checkpointing.
+// The reported metric is wall-clock per simulated run; sim-MIPS puts it in
 // simulator terms.
 func BenchmarkMachineRun(b *testing.B) {
 	for _, cores := range []int{8, 16, 32, 128, 256} {
 		for _, ck := range []bool{false, true} {
-			for _, w := range benchWorkersDim() {
-				name := fmt.Sprintf("cores=%d/ckpt=%v/workers=%d", cores, ck, w)
-				b.Run(name, func(b *testing.B) {
-					cfg, p := benchSetup(b, cores, 10, ck)
-					cfg.Workers = w
-					benchRun(b, cfg, p)
-				})
-			}
+			name := fmt.Sprintf("cores=%d/ckpt=%v", cores, ck)
+			b.Run(name, func(b *testing.B) {
+				cfg, p := benchSetup(b, cores, 10, ck)
+				benchRun(b, cfg, p)
+			})
 		}
 	}
 }

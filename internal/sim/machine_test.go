@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"acr/internal/ckpt"
 	"acr/internal/fault"
 	"acr/internal/isa"
+	"acr/internal/mem"
 	"acr/internal/prog"
 )
 
@@ -101,6 +104,38 @@ func memWords(m *Machine, n int) []int64 {
 		out[i] = m.Mem().ReadWord(int64(i))
 	}
 	return out
+}
+
+// runSnapshot runs p under cfg and returns the result, the final
+// data-memory image and the engine counters.
+func runSnapshot(t *testing.T, cfg Config, p *prog.Program) (Result, []int64, SchedStats) {
+	t.Helper()
+	m, err := New(cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, memWords(m, p.DataWords), m.SchedStats()
+}
+
+// checkBitIdentical asserts a run reproduced its reference exactly: the
+// full Result (cycles, instructions, energy totals and per-event counts,
+// checkpoint/AddrMap/memory statistics, timeline) and every data-memory
+// word.
+func checkBitIdentical(t *testing.T, label string, want, got Result, wantMem, gotMem []int64) {
+	t.Helper()
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("%s: results differ\nwant: %+v\ngot:  %+v", label, want, got)
+	}
+	for i := range wantMem {
+		if gotMem[i] != wantMem[i] {
+			t.Fatalf("%s: memory differs at word %d: want %d, got %d",
+				label, i, wantMem[i], gotMem[i])
+		}
+	}
 }
 
 // The test regime mirrors the paper's: a checkpoint interval spans several
@@ -361,22 +396,43 @@ func TestRunawayGuard(t *testing.T) {
 	b.Jmp(top)
 	b.Halt()
 	p := b.MustBuild()
-	// Every core spins, so at Workers 4 the run is all speculative rounds
-	// and the guard must fire on the round path too.
-	for _, tc := range []struct{ cores, workers int }{{1, 1}, {4, 1}, {4, 4}} {
-		cfg := DefaultConfig(tc.cores)
+	for _, cores := range []int{1, 4} {
+		cfg := DefaultConfig(cores)
 		cfg.MaxSteps = 1000
-		cfg.Workers = tc.workers
 		m, err := New(cfg, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, err = m.Run()
 		if err == nil || !strings.Contains(err.Error(), "exceeded 1000 steps") {
-			t.Errorf("%d cores, workers %d: infinite loop not caught (err %v)", tc.cores, tc.workers, err)
+			t.Errorf("%d cores: infinite loop not caught (err %v)", cores, err)
 		}
-		if tc.workers > 1 && m.SchedStats().Rounds == 0 {
-			t.Errorf("%d cores, workers %d: no speculative round ran", tc.cores, tc.workers)
+	}
+}
+
+// TestAddressErrorReturned: a load outside data memory ends the run with an
+// error matchable as *mem.AddressError, not a process-killing panic.
+func TestAddressErrorReturned(t *testing.T) {
+	b := prog.New("oob")
+	b.Data(8)
+	b.Ld(5, 0, 1<<40)
+	b.Halt()
+	p := b.MustBuild()
+	for _, cores := range []int{1, 4} {
+		m, err := New(DefaultConfig(cores), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = m.Run()
+		var ae *mem.AddressError
+		if !errors.As(err, &ae) {
+			t.Fatalf("%d cores: Run returned %v, want a *mem.AddressError", cores, err)
+		}
+		if ae.Addr != 1<<40 {
+			t.Errorf("%d cores: AddressError.Addr = %d, want %d", cores, ae.Addr, int64(1)<<40)
+		}
+		if !strings.Contains(err.Error(), "core 0 pc 0") {
+			t.Errorf("%d cores: error %q does not name core 0 pc 0", cores, err)
 		}
 	}
 }

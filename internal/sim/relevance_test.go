@@ -10,24 +10,22 @@ import (
 	"acr/internal/prog"
 )
 
-// checkTrackAllInvisible runs cfg on p serially and at workers 4, and for
-// the amnesic-family strategies (the only ones that track Slices) also
-// with full Slice tracking (trackAll: no relevance filter, no depth cap) at
-// workers 1 and 4. Every run must match the first bit for bit: the full
-// Result (AddrMap statistics included) and every data-memory word. It
-// returns the first run's result and memory.
+// checkTrackAllInvisible runs cfg on p, and for the amnesic-family
+// strategies (the only ones that track Slices) also with full Slice
+// tracking (trackAll: no relevance filter, no depth cap). The second run
+// must match the first bit for bit: the full Result (AddrMap statistics
+// included) and every data-memory word. It returns the first run's result
+// and memory.
 func checkTrackAllInvisible(t *testing.T, label string, cfg Config, p *prog.Program) (Result, []int64) {
 	t.Helper()
-	want, wantMem, _ := runWorkers(t, cfg, p, 1)
-	res, mem, _ := runWorkers(t, cfg, p, 4)
-	checkBitIdentical(t, label+"/workers=4", want, res, wantMem, mem)
+	want, wantMem, _ := runSnapshot(t, cfg, p)
 	checkTrackAll(t, label, cfg, p, want, wantMem)
 	return want, wantMem
 }
 
-// checkTrackAll runs an amnesic-family cfg with trackAll at workers 1 and 4
-// and requires each run to reproduce want and wantMem exactly. Other
-// strategies build no tracker, so trackAll would only repeat their runs.
+// checkTrackAll runs an amnesic-family cfg with trackAll and requires it to
+// reproduce want and wantMem exactly. Other strategies build no tracker, so
+// trackAll would only repeat their runs.
 func checkTrackAll(t *testing.T, label string, cfg Config, p *prog.Program, want Result, wantMem []int64) {
 	t.Helper()
 	if !cfg.Strategy.Amnesic() {
@@ -35,10 +33,8 @@ func checkTrackAll(t *testing.T, label string, cfg Config, p *prog.Program, want
 	}
 	all := cfg
 	all.trackAll = true
-	for _, w := range []int{1, 4} {
-		res, mem, _ := runWorkers(t, all, p, w)
-		checkBitIdentical(t, label+"/trackAll/workers="+itoa(w), want, res, wantMem, mem)
-	}
+	res, mem, _ := runSnapshot(t, all, p)
+	checkBitIdentical(t, label+"/trackAll", want, res, wantMem, mem)
 }
 
 // TestTrackAllThresholdSweep crosses the Table II Slice-length thresholds

@@ -40,7 +40,7 @@ func TestLegacyLimitLifted(t *testing.T) {
 	const cores = 65
 	p := testKernel(cores, 8, 2)
 	base := DefaultConfig(cores)
-	ref, _, _ := runWorkers(t, base, p, 1)
+	ref, _, _ := runSnapshot(t, base, p)
 
 	cfg := base
 	cfg.Checkpointing = true
@@ -60,13 +60,13 @@ func TestLegacyLimitLifted(t *testing.T) {
 }
 
 // TestScaleBitIdentityFuzz extends the bit-identity fuzz oracle to 128- and
-// 256-core machines: for each scale, every checkpoint strategy crossed with
-// workers 1/4 and the quantum coalescer must reproduce the serial
-// interpreter bit-for-bit — the full Result and every data-memory word —
-// and so must full Slice tracking (trackAll) at workers 1 and 4 for the
-// amnesic-family strategies. This is the acceptance gate for the memory
-// plane and the grouped scheduler queue at scale: any directory or
-// pick-order bug shows up as a diverging cycle count or memory word here.
+// 256-core machines: for each scale, every checkpoint strategy with the
+// quantum coalescer on must reproduce the flat scheduler bit-for-bit — the
+// full Result and every data-memory word — and so must full Slice tracking
+// (trackAll) for the amnesic-family strategies. This is the acceptance gate
+// for the memory plane and the grouped scheduler queue at scale: any
+// directory or pick-order bug shows up as a diverging cycle count or memory
+// word here.
 func TestScaleBitIdentityFuzz(t *testing.T) {
 	coreChoices := []int{128, 256}
 	if testing.Short() {
@@ -80,13 +80,13 @@ func TestScaleBitIdentityFuzz(t *testing.T) {
 		p := testKernel(cores, perThread, iters)
 
 		base := DefaultConfig(cores)
-		ref, refMem, _ := runWorkers(t, base, p, 1)
+		ref, refMem, _ := runSnapshot(t, base, p)
 
 		// Coalescing off must match the default-on serial reference
 		// exactly: the coalescer only changes wall clock.
 		off := base
 		off.noCoalesce = true
-		ores, omem, _ := runWorkers(t, off, p, 1)
+		ores, omem, _ := runSnapshot(t, off, p)
 		checkBitIdentical(t, "coalesce-off@"+itoa(cores), ref, ores, refMem, omem)
 
 		for _, kind := range ckpt.Kinds() {
@@ -97,16 +97,14 @@ func TestScaleBitIdentityFuzz(t *testing.T) {
 			if rng.Intn(2) == 1 {
 				cfg.Errors = fault.Uniform(1, ref.Cycles, cfg.PeriodCycles/2)
 			}
-			want, wantMem, _ := runWorkers(t, cfg, p, 1)
+			want, wantMem, _ := runSnapshot(t, cfg, p)
 
 			noco := cfg
 			noco.noCoalesce = true
-			nres, nmem, _ := runWorkers(t, noco, p, 1)
+			nres, nmem, _ := runSnapshot(t, noco, p)
 			label := itoa(cores) + "/" + kind.String()
 			checkBitIdentical(t, label+"/coalesce-off", want, nres, wantMem, nmem)
 
-			pres, pmem, _ := runWorkers(t, cfg, p, 4)
-			checkBitIdentical(t, label+"/workers=4", want, pres, wantMem, pmem)
 			checkTrackAll(t, label, cfg, p, want, wantMem)
 		}
 	}
@@ -129,8 +127,16 @@ func itoa(n int) string {
 // TestCoalesceBitIdentitySmall crosses the coalescer toggle with the
 // package's standard checkpoint/error scenarios at the default small scale,
 // so the seam is pinned on the recovery-heavy paths too (rollback, replay,
-// adaptive placement), not only the scale kernels.
+// coordinated-local groups, adaptive placement, conventional logging under
+// errors), not only the scale kernels.
 func TestCoalesceBitIdentitySmall(t *testing.T) {
+	localAmnesic := errConfig(t, true, tCkpts, 2)
+	localAmnesic.Mode = ckpt.Local
+	adaptive := errConfig(t, true, tCkpts, 2)
+	adaptive.AdaptivePlacement = true
+	adaptive.RecordTimeline = true
+	fullErr := errConfig(t, false, tCkpts, 2)
+	fullErr.RecordTimeline = true
 	scenarios := []struct {
 		name string
 		cfg  Config
@@ -138,14 +144,20 @@ func TestCoalesceBitIdentitySmall(t *testing.T) {
 		{"ckpt-full", ckptConfig(t, false, tCkpts)},
 		{"ckpt-amnesic", ckptConfig(t, true, tCkpts)},
 		{"err-amnesic", errConfig(t, true, tCkpts, 2)},
+		{"err-amnesic-local", localAmnesic},
+		{"err-amnesic-adaptive", adaptive},
+		{"err-full", fullErr},
 	}
 	for _, sc := range scenarios {
 		p := testKernel(tThreads, tPer, tIters)
 		off := sc.cfg
 		off.noCoalesce = true
-		want, wantMem, _ := runWorkers(t, off, p, 1)
-		got, gotMem, _ := runWorkers(t, sc.cfg, p, 1)
+		want, wantMem, _ := runSnapshot(t, off, p)
+		got, gotMem, _ := runSnapshot(t, sc.cfg, p)
 		checkBitIdentical(t, sc.name, want, got, wantMem, gotMem)
+		if sc.cfg.Errors != nil && got.Ckpt.Recoveries == 0 {
+			t.Errorf("%s: no recovery ran, so the rollback path went unchecked", sc.name)
+		}
 	}
 }
 

@@ -27,18 +27,6 @@ import (
 // rescanning, while the scheduling overhead drops from
 // O(instructions × cores) to O(events × cores).
 //
-// The same quantum-isolation argument is what makes the parallel engine
-// (parallel.go) deterministic: the serial interleaving it must reproduce
-// is fully characterised by ordering instructions by (⌊start cycle⌋, core
-// id, per-core program order) — within one cycle value the lowest-id core
-// runs first and executes all of its instructions for that cycle before
-// the next core, exactly pick()'s tie-break. A speculative round executes
-// several cores' quanta concurrently against round-frozen shared state and
-// commits their deferred effects in that merge order, so any round that
-// passes the conflict check produces bit-identical state to running the
-// same quanta serially; any round that does not is discarded and re-run
-// through this serial scheduler, the oracle.
-//
 // syncTime and liveMax are served from aggregates maintained through the
 // OnState hook plus noteClock notifications at the points where the run
 // loop advances a clock, falling back to a scan after events that rewind
@@ -75,10 +63,9 @@ type scheduler struct {
 	// (quantum isolation) plus any peers coalesce eagerly advanced — both
 	// maintain the queue by sorted reinsertion near the front; any event
 	// that changes the running population or moves other cores' clocks
-	// (state transitions, checkpoint releases, recovery rewinds,
-	// parallel-round commits) marks the queue stale and the next pick
-	// rebuilds it, which keeps maintenance O(events × cores) like the
-	// population counters.
+	// (state transitions, checkpoint releases, recovery rewinds) marks
+	// the queue stale and the next pick rebuilds it, which keeps
+	// maintenance O(events × cores) like the population counters.
 	bkts      []pickBkt
 	bhd       int
 	pickStale bool
@@ -160,10 +147,9 @@ func (s *scheduler) transition(c *cpu.Core, from, to cpu.State) {
 }
 
 // noteClock reports that the run loop advanced a core's clock to t (cycle
-// units). The serial loop calls it once per quantum, the parallel engine
-// once per committed or replayed quantum, and the coordinator/recovery
-// paths after every synchronisation — every point where a clock moves
-// between liveMax consultations.
+// units). The run loop calls it once per quantum, and the
+// coordinator/recovery paths after every synchronisation — every point
+// where a clock moves between liveMax consultations.
 //
 //acr:noalloc
 func (s *scheduler) noteClock(t int64) {
@@ -182,8 +168,8 @@ func (s *scheduler) invalidate() {
 }
 
 // clocksMoved reports that clocks of cores other than the last-picked one
-// advanced without a state transition (checkpoint releases, parallel-round
-// commits), so the pick queue's cached clocks can no longer be trusted.
+// advanced without a state transition (checkpoint releases), so the pick
+// queue's cached clocks can no longer be trusted.
 //
 //acr:noalloc
 func (s *scheduler) clocksMoved() { s.pickStale = true }

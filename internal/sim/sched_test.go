@@ -13,8 +13,7 @@ import (
 // against the scan and panics on the first divergence. The machines below
 // exercise every path that feeds the aggregates — barrier entry and release,
 // checkpoint establishment synchronisation, halts, and recovery roll-backs
-// (which rewind clocks and force the stale/rescan path) — under both the
-// serial and the parallel engine.
+// (which rewind clocks and force the stale/rescan path).
 func TestSchedulerAggregatesMatchScans(t *testing.T) {
 	debugCheckAggregates = true
 	defer func() { debugCheckAggregates = false }()
@@ -44,12 +43,8 @@ func TestSchedulerAggregatesMatchScans(t *testing.T) {
 	}{"local", local})
 
 	for _, sc := range scenarios {
-		for _, workers := range []int{1, 4} {
-			cfg := sc.cfg
-			cfg.Workers = workers
-			if _, _ = runCfg(t, cfg); t.Failed() {
-				t.Fatalf("%s workers=%d: run failed", sc.name, workers)
-			}
+		if _, _ = runCfg(t, sc.cfg); t.Failed() {
+			t.Fatalf("%s: run failed", sc.name)
 		}
 	}
 }

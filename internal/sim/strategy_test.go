@@ -117,25 +117,6 @@ func TestDeepLatencyRejectedAtRetentionTwo(t *testing.T) {
 	}
 }
 
-// TestStrategyWorkerInvariance: Workers 4 must stay bit-identical to the
-// serial oracle under every strategy (prediction == replay for each
-// speculated strategy's first-store stall). The amnesic kinds run serial
-// quanta only.
-func TestStrategyWorkerInvariance(t *testing.T) {
-	base, _ := baseline(t)
-	p := testKernel(tThreads, tPer, tIters)
-	for _, kind := range ckpt.Kinds() {
-		cfg := strategyConfig(t, kind, tCkpts+2)
-		cfg.Errors = fault.Uniform(1, base.Cycles, cfg.PeriodCycles/2)
-		serial, serialMem, _ := runWorkers(t, cfg, p, 1)
-		par, parMem, ps := runWorkers(t, cfg, p, 4)
-		checkBitIdentical(t, kind.String(), serial, par, serialMem, parMem)
-		if speculated := ps.Rounds > 0; speculated == kind.Amnesic() {
-			t.Errorf("%v: %d speculative rounds at workers 4", kind, ps.Rounds)
-		}
-	}
-}
-
 // TestStrategyCostProfiles asserts each strategy's distinguishing cost
 // signature over one workload and period, so the bench matrix's dimensions
 // are known to measure real mechanisms rather than label noise.

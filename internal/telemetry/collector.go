@@ -203,11 +203,10 @@ func (c *Collector) ObserveResult(res sim.Result) {
 }
 
 // SchedCollector exports the engine's dispatch diagnostics — the
-// quantum-length histogram, the coalescing counters and the parallel
-// engine's round counters. It is a separate observer from Collector
-// because sim.SchedStats describe the engine, not the simulated machine:
-// they move with quantum coalescing and the Workers speed seam while
-// Result does not, and profiles recorded without a SchedCollector attached
+// quantum-length histogram and the coalescing counters. It is a separate
+// observer from Collector because sim.SchedStats describe the engine, not
+// the simulated machine: they move with quantum coalescing while Result
+// does not, and profiles recorded without a SchedCollector attached
 // (notably the fastpath oracle fixture) must stay byte-identical.
 type SchedCollector struct{ reg *Registry }
 
@@ -242,18 +241,6 @@ func (s *SchedCollector) ObserveSchedStats(st sim.SchedStats) {
 		"Coalescing eager executions that advanced a peer core.").Set(float64(st.EagerCalls))
 	s.reg.Gauge("acr_sched_eager_instrs",
 		"Peer instructions retired eagerly by quantum coalescing.").Set(float64(st.EagerInstrs))
-	s.reg.Gauge("acr_parallel_rounds",
-		"Speculative rounds the parallel engine attempted.").Set(float64(st.Rounds))
-	s.reg.Gauge("acr_parallel_committed",
-		"Speculative rounds committed.").Set(float64(st.Committed))
-	s.reg.Gauge("acr_parallel_aborted",
-		"Speculative rounds aborted on a conflict and replayed serially.").Set(float64(st.Aborted))
-	s.reg.Gauge("acr_parallel_serial_quanta",
-		"Quanta run serially because fewer than two cores could move before the round horizon.").Set(float64(st.SerialQuanta))
-	s.reg.Gauge("acr_parallel_spec_instrs",
-		"Instructions executed speculatively and committed.").Set(float64(st.SpecInstrs))
-	s.reg.Gauge("acr_parallel_replay_instrs",
-		"Instructions re-executed serially after aborted rounds.").Set(float64(st.ReplayInstrs))
 }
 
 // quantumBuckets are the registry-side edges mirroring the machine's

@@ -286,26 +286,24 @@ func TestObserveResultStrategyMetrics(t *testing.T) {
 	}
 }
 
-// TestSchedCollectorParallelGauges: the parallel engine's round counters
-// reach the exposition, so an exported run shows its abort rate.
-func TestSchedCollectorParallelGauges(t *testing.T) {
+// TestSchedCollectorGauges: the engine's dispatch counters reach the
+// exposition, so an exported run shows its quantum granularity.
+func TestSchedCollectorGauges(t *testing.T) {
 	reg := NewRegistry()
-	NewSchedCollector(reg).ObserveSchedStats(sim.SchedStats{
-		Rounds: 10, Committed: 7, Aborted: 3, SerialQuanta: 4,
-		SpecInstrs: 900, ReplayInstrs: 120,
-	})
+	st := sim.SchedStats{Spans: 40, SpanInstrs: 1000, EagerCalls: 7, EagerInstrs: 90}
+	st.QuantumHist[3] = 40
+	NewSchedCollector(reg).ObserveSchedStats(st)
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
 	for _, want := range []string{
-		"acr_parallel_rounds 10",
-		"acr_parallel_committed 7",
-		"acr_parallel_aborted 3",
-		"acr_parallel_serial_quanta 4",
-		"acr_parallel_spec_instrs 900",
-		"acr_parallel_replay_instrs 120",
+		"acr_sched_spans 40",
+		"acr_sched_quantum_avg_instrs 25",
+		"acr_sched_eager_calls 7",
+		"acr_sched_eager_instrs 90",
+		"acr_sched_quantum_instrs_count 40",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition lacks %q", want)

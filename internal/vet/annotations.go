@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"slices"
 	"strings"
 )
 
@@ -17,14 +16,9 @@ import (
 //
 //	//acr:noalloc            func doc — function body is checked
 //	                         allocation-free
-//	//acr:spec-safe          func doc or interface type doc — function (or
-//	                         every method of the interface) may run during a
-//	                         speculative round
 //	//acr:alloc-ok           end of line — allocation site inside a noalloc
 //	                         function, justified (cold path, amortized
 //	                         growth, proven non-escaping)
-//	//acr:spec-ok            end of line — unresolvable call inside a
-//	                         spec-safe function, justified
 //
 // The hygiene analyzer validates exactly this table: unknown names,
 // and misplaced directives are diagnostics.
@@ -45,10 +39,8 @@ const (
 // directives is the registry of known annotation names and where each may
 // appear.
 var directives = map[string]Placement{
-	"noalloc":   OnFunc,
-	"spec-safe": OnFunc | OnType,
-	"alloc-ok":  OnLine,
-	"spec-ok":   OnLine,
+	"noalloc":  OnFunc,
+	"alloc-ok": OnLine,
 }
 
 // Annotation is one parsed //acr: directive.
@@ -98,8 +90,8 @@ func groupDirectives(g *ast.CommentGroup) []Annotation {
 	return anns
 }
 
-// FuncHas reports whether fn's declaration carries name (directly, or via a
-// spec-safe interface whose method set fn belongs to — see indexing).
+// FuncHas reports whether fn's declaration (or, for an interface method,
+// its declaration in the interface) carries name.
 func (x *Annotations) FuncHas(fn *types.Func, name string) bool {
 	for _, a := range x.funcs[fn] {
 		if a.Name == name {
@@ -193,22 +185,22 @@ func (x *Annotations) indexFile(pkg *Package, f *ast.File, claimed map[*ast.Comm
 				if tn != nil {
 					target = tn
 				}
-				anns := claim(ts.Doc, OnType, target)
-				anns = append(anns, claim(ts.Comment, OnType, target)...)
+				claim(ts.Doc, OnType, target)
+				claim(ts.Comment, OnType, target)
 				// A doc on the GenDecl itself annotates a sole TypeSpec
 				// (the common `// doc` + `type T struct` shape).
 				if len(d.Specs) == 1 && len(declAnns) > 0 {
-					anns = append(anns, claim(d.Doc, OnType, target)...)
+					claim(d.Doc, OnType, target)
 				}
 				if tn != nil {
-					x.indexTypeSpec(pkg, ts, tn, anns, claim)
+					x.indexTypeSpec(pkg, ts, claim)
 				}
 			}
 		}
 	}
 }
 
-func (x *Annotations) indexTypeSpec(pkg *Package, ts *ast.TypeSpec, tn *types.TypeName, anns []Annotation, claim func(*ast.CommentGroup, Placement, types.Object) []Annotation) {
+func (x *Annotations) indexTypeSpec(pkg *Package, ts *ast.TypeSpec, claim func(*ast.CommentGroup, Placement, types.Object) []Annotation) {
 	switch t := ts.Type.(type) {
 	case *ast.StructType:
 		for _, field := range t.Fields.List {
@@ -229,19 +221,6 @@ func (x *Annotations) indexTypeSpec(pkg *Package, ts *ast.TypeSpec, tn *types.Ty
 				anns := claim(field.Doc, OnFunc, fn)
 				anns = append(anns, claim(field.Comment, OnFunc, fn)...)
 				x.funcs[fn] = append(x.funcs[fn], anns...)
-			}
-		}
-		// A spec-safe interface marks each of its methods spec-safe: calls
-		// through the interface are the engine's controlled injection
-		// points, and every implementation is annotated (and so checked)
-		// on its own.
-		if !slices.ContainsFunc(anns, func(a Annotation) bool { return a.Name == "spec-safe" }) {
-			break
-		}
-		if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
-			ann := Annotation{Name: "spec-safe", Pos: ts.Pos(), At: OnFunc}
-			for i := 0; i < iface.NumMethods(); i++ {
-				x.funcs[iface.Method(i)] = append(x.funcs[iface.Method(i)], ann)
 			}
 		}
 	}

@@ -18,10 +18,6 @@ func TestNoAllocFixture(t *testing.T) {
 	vettest.Check(t, vet.NoAllocAnalyzer, fixture+"noalloc")
 }
 
-func TestSpecSafetyFixture(t *testing.T) {
-	vettest.Check(t, vet.SpecSafetyAnalyzer, fixture+"specsafety")
-}
-
 func TestHygieneFixture(t *testing.T) {
 	vettest.Check(t, vet.HygieneAnalyzer, fixture+"hygiene")
 }

@@ -24,7 +24,7 @@ type Package struct {
 
 // Program is a loaded set of packages sharing one FileSet, one type-checker
 // universe (cross-package objects are pointer-identical) and one annotation
-// index. Analyzers receive the whole Program: spec-safe call closures are
+// index. Analyzers receive the whole Program: noalloc call closures are
 // inherently cross-package.
 type Program struct {
 	Fset   *token.FileSet

@@ -1,11 +1,10 @@
-// Package vet is the repository's Go-level invariant suite: custom static
-// analyzers for the two properties no runtime test pins down — allocation-
-// free hot paths and speculative-state isolation. TestBenchAllocBudget
-// bounds only the total allocation rate of a serial run, and only CI's
-// -race step sees a package-level write during a speculative round.
-// Determinism, observer one-wayness and memo-key completeness are checked
-// dynamically instead: by the sim bit-identity oracles, the telemetry
-// on/off identity tests and the reflective memo-key tests in bench.
+// Package vet is the repository's Go-level invariant suite: a custom static
+// analyzer for the property no runtime test pins down — allocation-free hot
+// paths (TestBenchAllocBudget bounds only the total allocation rate of a
+// run). Determinism, observer one-wayness and memo-key completeness are
+// checked dynamically instead: by the sim bit-identity oracles, the
+// telemetry on/off identity tests and the reflective memo-key tests in
+// bench.
 //
 // The suite is annotation-driven: source opts into each invariant with
 // //acr: directives (see annotations.go for the grammar), and the analyzers
@@ -53,7 +52,6 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NoAllocAnalyzer,
-		SpecSafetyAnalyzer,
 		HygieneAnalyzer,
 	}
 }
