@@ -372,7 +372,7 @@ func TestStallAsymmetry(t *testing.T) {
 }
 
 // TestDifferentialSealImageMatchesMemory pins the differential strategy's
-// image ring across the recycled-image patch and the post-rollback spare
+// image ring across the recycled-image patch and the post-rollback clone
 // path: after every seal the newest image must equal memory.
 func TestDifferentialSealImageMatchesMemory(t *testing.T) {
 	r := newKindRig(t, KindDifferential, Global, 2)
@@ -380,10 +380,9 @@ func TestDifferentialSealImageMatchesMemory(t *testing.T) {
 	seal := func(step string, time int64) {
 		t.Helper()
 		r.establish(t, time, 2)
-		want := r.sys.SnapshotWords(nil)
-		for a, w := range want {
-			if d.images[0][a] != w {
-				t.Fatalf("%s: image[%d] = %d, memory holds %d", step, a, d.images[0][a], w)
+		for a := int64(0); a < int64(r.sys.Words()); a++ {
+			if got, w := d.images[0].Word(a), r.sys.ReadWord(a); got != w {
+				t.Fatalf("%s: image[%d] = %d, memory holds %d", step, a, got, w)
 			}
 		}
 	}
@@ -407,7 +406,7 @@ func TestDifferentialSealImageMatchesMemory(t *testing.T) {
 	}
 	r.store(0, 14, 8)
 	r.store(1, 10, 9)
-	seal("seal after rollback (spare)", 4000)
+	seal("seal after rollback (clone)", 4000)
 	r.store(0, 14, 10)
 	r.store(1, 501, 11)
 	seal("seal 5 (recycled)", 5000)

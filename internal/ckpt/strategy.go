@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"acr/internal/energy"
+	"acr/internal/mem"
 )
 
 // Kind identifies a checkpoint strategy. The zero value is the
@@ -293,19 +294,19 @@ func (t *tieredStrategy) Rollback(m *Manager, depth int, info *RollbackInfo) {
 // diffStrategy is flush-and-copy delta checkpointing: stores never stall
 // and nothing is logged inline; the directory log bits double as the
 // epoch's dirty bitmap. At establishment the dirty words are scanned and
-// their (already flushed) values copied into a retained full-memory image
+// their (already flushed) values copied into a retained memory image
 // — only the copy's writes are charged, the reads ride the establishment
-// flush. Roll-back restores the union of the crossed epochs' dirty sets
-// from the target image: one image read and one memory write per distinct
-// word, with no double-restores.
+// flush. Images are sparse (mem.Image): pages the program never wrote are
+// nil in them as in memory. Roll-back restores the union of the crossed
+// epochs' dirty sets from the target image: one image read and one memory
+// write per distinct word, with no double-restores.
 type diffStrategy struct {
 	// images[i] is the memory image at snaps[i]; deltas[i-1] lists the
 	// addresses dirtied during ring interval i (post-seal alignment).
-	images  [][]int64
+	images  []*mem.Image
 	deltas  [][]int64
 	scratch []int64
 	seen    []uint64 // distinct-word bitmap, cleared after each roll-back
-	spare   [][]int64
 }
 
 func (d *diffStrategy) Kind() Kind     { return KindDifferential }
@@ -315,7 +316,7 @@ func (d *diffStrategy) Retention() int { return 2 }
 // manager establishes at construction. Called by NewManager, after the
 // program's memory init.
 func (d *diffStrategy) init(m *Manager) {
-	d.images = append(d.images, m.sys.SnapshotWords(nil))
+	d.images = append(d.images, m.sys.Snapshot())
 }
 
 func (d *diffStrategy) OnFirstStore(*Manager, int, int64, int64) int64 { return 0 }
@@ -332,7 +333,7 @@ func (d *diffStrategy) Seal(m *Manager, _ int64) SealInfo {
 
 	// New image = newest image + delta, aligned with the post-rotation
 	// ring (index 0); the delta list lands at ring interval 1.
-	var img []int64
+	var img *mem.Image
 	if len(d.images) >= d.Retention() {
 		// The recycled oldest image differs from the newest only at the
 		// words the retained deltas list: patch those instead of copying
@@ -341,18 +342,14 @@ func (d *diffStrategy) Seal(m *Manager, _ int64) SealInfo {
 		d.images = d.images[:len(d.images)-1]
 		for _, delta := range d.deltas {
 			for _, a := range delta {
-				img[a] = d.images[0][a]
+				img.SetWord(a, d.images[0].Word(a))
 			}
 		}
-	} else if len(d.spare) > 0 {
-		img = d.spare[len(d.spare)-1]
-		d.spare = d.spare[:len(d.spare)-1]
-		copy(img, d.images[0])
 	} else {
-		img = append([]int64(nil), d.images[0]...)
+		img = d.images[0].Clone()
 	}
 	for _, a := range d.scratch {
-		img[a] = m.sys.ReadWord(a)
+		img.SetWord(a, m.sys.ReadWord(a))
 	}
 	d.images = append(d.images, nil)
 	copy(d.images[1:], d.images)
@@ -382,7 +379,7 @@ func (d *diffStrategy) Rollback(m *Manager, depth int, info *RollbackInfo) {
 			return
 		}
 		d.seen[w] |= 1 << b
-		m.sys.WriteWord(addr, img[addr])
+		m.sys.WriteWord(addr, img.Word(addr))
 		// One image word read, one memory word written.
 		m.meter.Add(energy.DRAMRead, 1)
 		m.meter.Add(energy.DRAMWrite, 1)
@@ -404,13 +401,9 @@ func (d *diffStrategy) Rollback(m *Manager, depth int, info *RollbackInfo) {
 		d.seen[i] = 0
 	}
 
-	// The ring collapses to the target: keep its image, recycle the rest.
-	if depth != 0 {
-		d.images[0], d.images[depth] = d.images[depth], d.images[0]
-	}
-	for _, img := range d.images[1:] {
-		d.spare = append(d.spare, img)
-	}
+	// The ring collapses to the target.
+	d.images[0] = d.images[depth]
+	clear(d.images[1:])
 	d.images = d.images[:1]
 	d.deltas = d.deltas[:0]
 }

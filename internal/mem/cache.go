@@ -1,12 +1,15 @@
 // Package mem models the memory subsystem of the simulated machine: private
-// set-associative write-back caches per core (Table I), a flat word-addressed
+// set-associative write-back caches per core (Table I), a word-addressed
 // DRAM, the per-word checkpoint log bit maintained by the directory
 // controller (paper §II-A), and the inter-core communication observation the
 // directory provides for coordinated local checkpointing (paper §V-E).
+// DRAM, the log bits and the per-line writer tags live in fixed-size pages
+// that are allocated on first write, so a machine's memory cost follows
+// what its program writes, not the data it reserves.
 //
 // The design is functional-direct with timing-model caches, as in Sniper:
-// loads and stores update the flat memory immediately; the caches decide
-// which *level* serviced an access, which determines latency and energy.
+// loads and stores update memory immediately; the caches decide which
+// *level* serviced an access, which determines latency and energy.
 package mem
 
 import "fmt"
@@ -37,8 +40,8 @@ type way struct {
 }
 
 // Cache is a set-associative LRU write-back cache used as a timing model:
-// it tracks presence and dirtiness of lines but holds no data (the flat
-// memory is always current functionally).
+// it tracks presence and dirtiness of lines but holds no data (memory is
+// always current functionally).
 type Cache struct {
 	sets int
 	ways int

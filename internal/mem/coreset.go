@@ -54,16 +54,6 @@ func (s CoreSet) Empty() bool {
 	return true
 }
 
-// Intersects reports whether s and t share a member.
-func (s CoreSet) Intersects(t CoreSet) bool {
-	for i, w := range t {
-		if s[i]&w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Reset clears the set.
 func (s CoreSet) Reset() {
 	for i := range s {

@@ -25,9 +25,7 @@ func TestLocalNewIntervalMatchesNaiveClear(t *testing.T) {
 			}
 		}
 
-		logBit := func(a int64) bool {
-			return s.logBits[a>>6]&(1<<uint(a&63)) != 0
-		}
+		logBit := func(a int64) bool { return testLogBit(s, a) }
 
 		// Reference: clear one bit at a time for every word of every line
 		// last written by a group member.
@@ -38,7 +36,7 @@ func TestLocalNewIntervalMatchesNaiveClear(t *testing.T) {
 		lw := int64(s.cfg.LineWords)
 		nLines := (int64(words) + lw - 1) / lw
 		for line := int64(0); line < nLines; line++ {
-			writer := s.lastWriter[line]
+			writer := testLastWriter(s, line)
 			if writer == 0 || !group.Has(int(writer-1)) {
 				continue
 			}
@@ -55,4 +53,21 @@ func TestLocalNewIntervalMatchesNaiveClear(t *testing.T) {
 			}
 		}
 	}
+}
+
+// testLogBit reads word a's log bit through the page table.
+func testLogBit(s *System, a int64) bool {
+	p := s.pages[a>>pageShift]
+	i := a & pageMask
+	return p != nil && p.logBits[i>>6]&(1<<uint(i&63)) != 0
+}
+
+// testLastWriter reads line's last-writer tag (core id + 1, 0 if never
+// written) through the page table.
+func testLastWriter(s *System, line int64) int32 {
+	p := s.pages[(line<<s.lineShift)>>pageShift]
+	if p == nil {
+		return 0
+	}
+	return p.tags[line&s.lineMask].writer
 }

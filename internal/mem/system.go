@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"acr/internal/energy"
 )
@@ -110,27 +111,29 @@ type Stats struct {
 }
 
 // System is the whole-machine memory subsystem: a directory in front of
-// flat word-addressed DRAM. The directory keeps one log bit per word and one
-// last-writer tag per line, each in a flat array indexed by word address or
-// global line. Bandwidth is modelled as uniformly interleaved across the
-// Table I controllers (TransferCycles), so no state is split per controller.
+// word-addressed DRAM. DRAM and the directory state are one table of
+// fixed-size pages: each page holds its words, one log bit per word and
+// one last-writer tag per line. A page is allocated by the first store (or
+// nonzero WriteWord) to it; until then it reads as zero and has no writer,
+// and loads from it allocate nothing. Bandwidth is modelled as uniformly
+// interleaved across the Table I controllers (TransferCycles), so no state
+// is split per controller.
 type System struct {
 	cfg    Config
 	nCores int
 	meter  *energy.Meter
 
 	words int
-	dram  []int64
-	// logBits: one bit per word; set when the word's old value has been
-	// captured (or amnesically omitted) for the current checkpoint
-	// interval (paper §II-A). Tail bits past words are never set.
-	logBits []uint64
-	// lastWriter[l] = core id + 1 of the last core to store to line l; 0
-	// if never written. lastWriteIvl[l] is the checkpoint interval of that
-	// store. Both drive communication observation.
-	lastWriter   []int32
-	lastWriteIvl []int32
-	curInterval  int32
+	// pages[i] holds words [i*pageWords, (i+1)*pageWords), nil until
+	// written; touched lists the indices of the allocated pages in
+	// ascending order, so the interval scans visit only those.
+	pages   []*page
+	touched []int32
+	// A line is 1<<lineShift words; lineMask maps a line number to its
+	// index within its page.
+	lineShift   uint
+	lineMask    int64
+	curInterval int32
 
 	// comm is the per-core communication bitset for the current interval:
 	// row c (commW words at comm[c*commW:]) holds the cores with which c
@@ -160,22 +163,20 @@ func NewSystem(cfg Config, nCores, words int, meter *energy.Meter) (*System, err
 	if words <= 0 {
 		return nil, &ConfigError{Reason: "non-positive memory size"}
 	}
-	if cfg.LineWords <= 0 {
-		return nil, &ConfigError{Reason: fmt.Sprintf("line size %d words must be positive", cfg.LineWords)}
+	if cfg.LineWords <= 0 || pageWords%cfg.LineWords != 0 {
+		return nil, &ConfigError{Reason: fmt.Sprintf("line size %d words must divide the %d-word page", cfg.LineWords, pageWords)}
 	}
 	s := &System{
-		cfg:    cfg,
-		nCores: nCores,
-		meter:  meter,
-		words:  words,
-		dram:   make([]int64, words),
-		commW:  (nCores + 63) / 64,
-		caches: make([]coreCaches, nCores),
+		cfg:       cfg,
+		nCores:    nCores,
+		meter:     meter,
+		words:     words,
+		pages:     make([]*page, (words+pageWords-1)/pageWords),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineWords))),
+		lineMask:  int64(pageWords/cfg.LineWords - 1),
+		commW:     (nCores + 63) / 64,
+		caches:    make([]coreCaches, nCores),
 	}
-	lines := (words + cfg.LineWords - 1) / cfg.LineWords
-	s.logBits = make([]uint64, (words+63)/64)
-	s.lastWriter = make([]int32, lines)
-	s.lastWriteIvl = make([]int32, lines)
 	s.comm = make([]uint64, nCores*s.commW)
 	for i := range s.caches {
 		s.caches[i] = coreCaches{l1d: NewCache(cfg.L1D), l2: NewCache(cfg.L2)}
@@ -213,13 +214,39 @@ func (s *System) Config() Config { return s.cfg }
 
 // ReadWord reads memory functionally, without timing or energy effects.
 // Used by program init, checkpoint verification and tests.
-func (s *System) ReadWord(addr int64) int64 { return s.dram[addr] }
+func (s *System) ReadWord(addr int64) int64 {
+	s.checkAddr(addr)
+	if p := s.pages[addr>>pageShift]; p != nil {
+		return p.words[addr&pageMask]
+	}
+	return 0
+}
 
 // WriteWord writes memory functionally, bypassing caches, timing, energy,
 // log bits and communication tracking. Used by program init and by the
 // recovery handler when restoring state (the restore's cost is charged
-// explicitly by the recovery handler).
-func (s *System) WriteWord(addr, val int64) { s.dram[addr] = val }
+// explicitly by the recovery handler). Writing zero to an untouched page
+// leaves it unallocated.
+func (s *System) WriteWord(addr, val int64) {
+	s.checkAddr(addr)
+	p := s.pages[addr>>pageShift]
+	if p == nil {
+		if val == 0 {
+			return
+		}
+		p = s.newPage(addr >> pageShift)
+	}
+	p.words[addr&pageMask] = val
+}
+
+// newPage allocates page pi on its first write.
+func (s *System) newPage(pi int64) *page {
+	p := &page{tags: make([]lineTag, s.lineMask+1)}
+	s.pages[pi] = p
+	i, _ := slices.BinarySearch(s.touched, int32(pi))
+	s.touched = slices.Insert(s.touched, i, int32(pi))
+	return p
+}
 
 func (s *System) checkAddr(addr int64) {
 	if addr < 0 || addr >= int64(s.words) {
@@ -278,10 +305,15 @@ func (s *System) access(core int, line int64, store bool) int64 {
 //acr:noalloc
 func (s *System) Load(core int, addr int64) (val, cycles int64) {
 	s.checkAddr(addr)
-	line := addr / int64(s.cfg.LineWords)
+	line := addr >> s.lineShift
 	cycles = s.access(core, line, false)
-	s.observeComm(core, line)
-	return s.dram[addr], cycles
+	p := s.pages[addr>>pageShift]
+	if p == nil {
+		// Never written: the word is zero and the line has no writer.
+		return 0, cycles
+	}
+	s.observeComm(core, &p.tags[line&s.lineMask])
+	return p.words[addr&pageMask], cycles
 }
 
 // Store performs a data store by core. It returns the old value of the
@@ -293,30 +325,35 @@ func (s *System) Load(core int, addr int64) (val, cycles int64) {
 //acr:noalloc
 func (s *System) Store(core int, addr, val int64) (old int64, first bool, cycles int64) {
 	s.checkAddr(addr)
-	line := addr / int64(s.cfg.LineWords)
+	line := addr >> s.lineShift
 	cycles = s.access(core, line, true)
-	s.observeComm(core, line)
-	old = s.dram[addr]
-	s.dram[addr] = val
+	p := s.pages[addr>>pageShift]
+	if p == nil {
+		p = s.newPage(addr >> pageShift) // the store path's one allocation, once per page
+	}
+	tag := &p.tags[line&s.lineMask]
+	s.observeComm(core, tag)
+	i := addr & pageMask
+	old = p.words[i]
+	p.words[i] = val
 
-	w, b := addr>>6, uint(addr&63)
-	if s.logBits[w]&(1<<b) == 0 {
-		s.logBits[w] |= 1 << b
+	w, b := i>>6, uint(i&63)
+	if p.logBits[w]&(1<<b) == 0 {
+		p.logBits[w] |= 1 << b
 		first = true
 		s.stats.LogBitSets++
 	}
-	s.lastWriter[line] = int32(core) + 1
-	s.lastWriteIvl[line] = s.curInterval
+	*tag = lineTag{writer: int32(core) + 1, ivl: s.curInterval}
 	return old, first, cycles
 }
 
 // observeComm records a communication edge between core and the last
-// writer of line, if that write happened this interval.
+// writer of the line tagged tag, if that write happened this interval.
 //
 //acr:noalloc
-func (s *System) observeComm(core int, line int64) {
-	lw := s.lastWriter[line]
-	if lw != 0 && int(lw-1) != core && s.lastWriteIvl[line] == s.curInterval {
+func (s *System) observeComm(core int, tag *lineTag) {
+	lw := tag.writer
+	if lw != 0 && int(lw-1) != core && tag.ivl == s.curInterval {
 		w := int(lw - 1)
 		s.comm[core*s.commW+(w>>6)] |= 1 << uint(w&63)
 		s.comm[w*s.commW+(core>>6)] |= 1 << uint(core&63)
@@ -366,29 +403,35 @@ func (s *System) CommGroups() []CoreSet {
 // log bits and communication rows are cleared. Under global checkpointing
 // the group covers all cores and all log bits clear; under local
 // checkpointing only words last written by group members are cleared (the
-// group checkpoints its own data).
+// group checkpoints its own data). A local group is a union of CommGroups
+// components, so the communication graph stays symmetric.
 func (s *System) NewInterval(group CoreSet, allCores bool) {
 	if allCores {
-		clear(s.logBits)
+		for _, pi := range s.touched {
+			clear(s.pages[pi].logBits[:])
+		}
 		clear(s.comm)
 		s.curInterval++
 		return
 	}
 	// Local: clear log bits of words on lines last written by the group.
-	// A line is LineWords contiguous bits of logBits, so the clear is a
-	// handful of masked whole-uint64 writes per line, not a per-word loop.
+	// A line is LineWords contiguous bits of its page's logBits, so the
+	// clear is a handful of masked whole-uint64 writes per line, not a
+	// per-word loop. Untouched pages have no log bits and no writers.
 	lw := int64(s.cfg.LineWords)
-	for line, writer := range s.lastWriter {
-		if writer == 0 || !group.Has(int(writer-1)) {
-			continue
-		}
-		base := int64(line) * lw
-		end := min(base+lw, int64(s.words))
-		for a := base; a < end; {
-			lo := uint(a & 63)
-			n := min(int64(64-lo), end-a)
-			s.logBits[a>>6] &^= (^uint64(0) >> (64 - uint(n))) << lo
-			a += n
+	for _, pi := range s.touched {
+		p := s.pages[pi]
+		for l, tag := range p.tags {
+			if tag.writer == 0 || !group.Has(int(tag.writer-1)) {
+				continue
+			}
+			end := int64(l+1) << s.lineShift
+			for a := end - lw; a < end; {
+				lo := uint(a & 63)
+				n := min(int64(64-lo), end-a)
+				p.logBits[a>>6] &^= (^uint64(0) >> (64 - uint(n))) << lo
+				a += n
+			}
 		}
 	}
 	for c := 0; c < s.nCores; c++ {
@@ -418,30 +461,33 @@ func (s *System) FlushDirty(group CoreSet) int {
 // AppendDirtyWords appends to buf the addresses of every word whose log
 // bit is set — the words updated since the interval's log bits were last
 // cleared — and returns the extended slice, in ascending address order.
-// The scan is pure observation: no timing, energy or log-bit effect. The
-// differential checkpoint strategy uses the log-bit array as its epoch
-// dirty bitmap, scanning it at establishment (before NewInterval clears
-// it) to capture the epoch's delta.
+// The scan visits only allocated pages and is pure observation: no timing,
+// energy or log-bit effect. The differential checkpoint strategy uses the
+// log bits as its epoch dirty bitmap, scanning them at establishment
+// (before NewInterval clears them) to capture the epoch's delta.
 func (s *System) AppendDirtyWords(buf []int64) []int64 {
-	for w, mask := range s.logBits {
-		for mask != 0 {
-			buf = append(buf, int64(w*64)+int64(bits.TrailingZeros64(mask)))
-			mask &= mask - 1
+	for _, pi := range s.touched {
+		base := int64(pi) << pageShift
+		for w, mask := range s.pages[pi].logBits {
+			for mask != 0 {
+				buf = append(buf, base+int64(w*64)+int64(bits.TrailingZeros64(mask)))
+				mask &= mask - 1
+			}
 		}
 	}
 	return buf
 }
 
-// SnapshotWords copies the functional memory image into buf (grown as
-// needed) and returns it. Pure observation, used by checkpoint strategies
-// that retain full images.
-func (s *System) SnapshotWords(buf []int64) []int64 {
-	if cap(buf) < s.words {
-		buf = make([]int64, s.words)
+// Snapshot returns a copy of the functional memory image that copies only
+// the allocated pages. Pure observation, used by checkpoint strategies
+// that retain images.
+func (s *System) Snapshot() *Image {
+	img := &Image{pages: make([]*[pageWords]int64, len(s.pages))}
+	for _, pi := range s.touched {
+		cp := s.pages[pi].words
+		img.pages[pi] = &cp
 	}
-	buf = buf[:s.words]
-	copy(buf, s.dram)
-	return buf
+	return img
 }
 
 // fastTierSpeedup is the bandwidth advantage of the fast (NVM-like)
