@@ -11,22 +11,11 @@ import "math"
 //
 // EvalALU panics if op is not an ALU operation; callers gate on Op.IsALU.
 //
-// EvalALU dispatches through the aluFns specialisation table (alufn.go),
-// so the interpreter and the Slice recomputation engine execute the
-// identical machine code for every op. Sharing one
-// code path is what makes floating-point results bit-identical across
-// them even for NaN payloads, whose propagation the language does not pin
-// down across separately compiled expressions.
+// Sharing this one function is also what makes floating-point results
+// bit-identical between the interpreter and the recomputation engine even
+// for NaN payloads, whose propagation the language does not pin down
+// across separately compiled expressions.
 func EvalALU(op Op, a, b, c, imm int64) int64 {
-	if !op.IsALU() {
-		panic("isa: EvalALU on non-ALU op " + op.String())
-	}
-	return aluFns[op](a, b, c, imm)
-}
-
-// evalALUSwitch is the reference switch form of EvalALU, retained for the
-// table-equivalence test.
-func evalALUSwitch(op Op, a, b, c, imm int64) int64 {
 	switch op {
 	case ADD:
 		return a + b

@@ -119,6 +119,73 @@ func TestEvalALUFloat(t *testing.T) {
 	}
 }
 
+// TestEvalALUCorners pins EvalALU at the corners where a rewrite is most
+// likely to drift: wrap-around, division by zero and by -1, shift amounts
+// outside [0, 63], logical right shifts of negative values, and the
+// floating-point signed zeros, infinities and NaN comparisons.
+func TestEvalALUCorners(t *testing.T) {
+	inf, negZero := F2I(math.Inf(1)), F2I(math.Copysign(0, -1))
+	cases := []struct {
+		op           Op
+		a, b, c, imm int64
+		want         int64
+	}{
+		{ADD, math.MaxInt64, 1, 0, 0, math.MinInt64},
+		{SUB, math.MinInt64, 1, 0, 0, math.MaxInt64},
+		{MUL, math.MaxInt64, 2, 0, 0, -2},
+		{DIV, math.MinInt64, -1, 0, 0, math.MinInt64},
+		{DIV, -7, 2, 0, 0, -3},
+		{DIV, math.MinInt64, 0, 0, 0, 0},
+		{REM, math.MinInt64, -1, 0, 0, 0},
+		{REM, -7, 2, 0, 0, -1},
+		{SHL, 1, 64, 0, 0, 1},
+		{SHL, 1, -1, 0, 0, math.MinInt64},
+		{SHR, math.MinInt64, 63, 0, 0, 1},
+		{SHR, -1, 64, 0, 0, -1},
+		{SLT, math.MinInt64, math.MaxInt64, 0, 0, 1},
+		{MULI, math.MinInt64, 0, 0, -1, math.MinInt64},
+		{SHLI, 3, 0, 0, 65, 6},
+		{SHRI, -1, 0, 0, 63, 1},
+		{LUI, 0, 0, 0, -1, -1 << 32},
+		{FDIV, F2I(1), F2I(0), 0, 0, inf},
+		{FNEG, F2I(0), 0, 0, 0, negZero},
+		{FABS, negZero, 0, 0, 0, F2I(0)},
+		{FADD, negZero, negZero, 0, 0, negZero},
+		{FMA, F2I(2), F2I(3), F2I(1), 0, F2I(7)},
+		{CVTF, math.MinInt64, 0, 0, 0, F2I(-0x1p63)},
+		{CVTI, F2I(-2.9), 0, 0, 0, -2},
+		{FLT, negZero, F2I(0), 0, 0, 0},
+		{FLT, F2I(math.NaN()), F2I(1), 0, 0, 0},
+		{FLT, F2I(1), F2I(math.NaN()), 0, 0, 0},
+		{FLT, F2I(math.Inf(-1)), inf, 0, 0, 1},
+	}
+	for _, c := range cases {
+		if got := EvalALU(c.op, c.a, c.b, c.c, c.imm); got != c.want {
+			t.Errorf("%v(a=%#x b=%#x c=%#x imm=%#x) = %#x, want %#x", c.op, c.a, c.b, c.c, c.imm, got, c.want)
+		}
+	}
+	if got := I2F(EvalALU(FSQRT, F2I(-1), 0, 0, 0)); !math.IsNaN(got) {
+		t.Errorf("FSQRT(-1) = %g, want NaN", got)
+	}
+	if got := I2F(EvalALU(FADD, inf, F2I(math.Inf(-1)), 0, 0)); !math.IsNaN(got) {
+		t.Errorf("FADD(+Inf, -Inf) = %g, want NaN", got)
+	}
+}
+
+// TestEvalALURejectsNonALU pins EvalALU's contract on non-ALU ops.
+func TestEvalALURejectsNonALU(t *testing.T) {
+	for _, op := range []Op{NOP, LD, ST, BEQ, JMP, HALT, BARRIER, ASSOCADDR} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("EvalALU(%v) did not panic", op)
+				}
+			}()
+			EvalALU(op, 1, 2, 3, 4)
+		}()
+	}
+}
+
 func TestFloatRoundTrip(t *testing.T) {
 	f := func(v int64) bool {
 		// NaN payloads round-trip through the bit conversion.

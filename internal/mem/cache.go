@@ -5,14 +5,18 @@
 // directory provides for coordinated local checkpointing (paper §V-E).
 // DRAM, the log bits and the per-line writer tags live in fixed-size pages
 // that are allocated on first write, so a machine's memory cost follows
-// what its program writes, not the data it reserves.
+// what its program writes, not the data it reserves. A cache stores one
+// word per way, so a core's Table I L1D and L2 take 68 KiB.
 //
 // The design is functional-direct with timing-model caches, as in Sniper:
 // loads and stores update memory immediately; the caches decide which
 // *level* serviced an access, which determines latency and energy.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // CacheConfig describes one cache level.
 type CacheConfig struct {
@@ -27,43 +31,27 @@ func (c CacheConfig) Lines() int { return c.SizeBytes / c.LineBytes }
 // Sets returns the number of sets.
 func (c CacheConfig) Sets() int { return c.Lines() / c.Ways }
 
-// way packs one cache way's metadata (tag, LRU stamp, dirty bit) into a
-// single slice element so an Access touches one contiguous span per set
-// instead of three parallel arrays. The tag stores line+1 so the zero
-// value means invalid: a fresh cache is all-zero memory and construction
-// needs no initialization pass over the line array — at 256 cores that
-// pass was a visible slice of machine-construction time.
-type way struct {
-	tag   int64 // line+1; 0 = invalid
-	tick  uint64
-	dirty bool
-}
-
 // Cache is a set-associative LRU write-back cache used as a timing model:
 // it tracks presence and dirtiness of lines but holds no data (memory is
 // always current functionally).
+//
+// Each way is one word, (line+1)<<1 | dirty, so the zero word is an
+// invalid way and a fresh cache is all-zero memory. A set keeps its ways
+// in recency order, most recently used first: a hit moves its way to the
+// front, and a miss evicts the last way and fills at the front. A zero way
+// is never moved forward, so invalid ways sit at the tail and the last way
+// is an invalid one whenever the set has any — the victim a tick-stamped
+// LRU picks, with no stamps to store or scan.
 type Cache struct {
 	sets int
 	ways int
-	// lines[set*ways+way].
-	lines []way
-	// mru[set] is the way index of the last hit or fill in the set; the
-	// Access fast path probes it before scanning the set.
-	mru  []int32
-	tick uint64
-
-	// dirtySets lists the sets that may hold dirty lines, so the flush
-	// scans touch O(dirty sets × ways) entries instead of every line —
-	// the full-array scan at every checkpoint was the dominant cost of
-	// amnesic runs on wide machines, where the combined line arrays
-	// outgrow the last-level cache. The list over-approximates: a
-	// flagged set's dirty lines may since have been evicted, which the
-	// per-line dirty bits resolve at flush time. dirtyEpoch[set] ==
-	// dirtyCur marks membership (bumping dirtyCur empties the list in
-	// O(1)); capacity is fixed at sets so noteDirty never reallocates.
-	dirtySets  []int32
-	dirtyEpoch []uint32
-	dirtyCur   uint32
+	// lines[set*ways : (set+1)*ways] is one set, in recency order.
+	lines []uint64
+	// dirty has a bit set for each set that may hold dirty lines, so the
+	// flush scans touch the interval's write working set, not every line.
+	// It over-approximates: a flagged set's dirty lines may since have
+	// been evicted, which the per-way dirty bits resolve at flush time.
+	dirty []uint64
 }
 
 // NewCache builds a cache from cfg. Sets must be a power of two.
@@ -73,31 +61,8 @@ func NewCache(cfg CacheConfig) *Cache {
 		panic(fmt.Sprintf("mem: cache sets %d not a positive power of two (cfg %+v)", sets, cfg))
 	}
 	return &Cache{sets: sets, ways: cfg.Ways,
-		lines: make([]way, sets*cfg.Ways), mru: make([]int32, sets),
-		dirtySets:  make([]int32, 0, sets),
-		dirtyEpoch: make([]uint32, sets),
-		dirtyCur:   1,
-	}
-}
-
-// noteDirty flags set as possibly holding dirty lines.
-//
-//acr:noalloc
-func (c *Cache) noteDirty(set int) {
-	if c.dirtyEpoch[set] == c.dirtyCur {
-		return
-	}
-	c.dirtyEpoch[set] = c.dirtyCur
-	c.dirtySets = append(c.dirtySets, int32(set)) //acr:alloc-ok capacity fixed at sets in NewCache; each set appends at most once per epoch
-}
-
-// clearDirtySets empties the dirty-set list.
-func (c *Cache) clearDirtySets() {
-	c.dirtySets = c.dirtySets[:0]
-	c.dirtyCur++
-	if c.dirtyCur == 0 { // epoch wrapped: hard-clear stale stamps
-		clear(c.dirtyEpoch)
-		c.dirtyCur = 1
+		lines: make([]uint64, sets*cfg.Ways),
+		dirty: make([]uint64, (sets+63)/64),
 	}
 }
 
@@ -106,106 +71,72 @@ func (c *Cache) clearDirtySets() {
 // whether that line was dirty — the caller writes it back to the next
 // level. If markDirty is set the line is marked dirty (store or
 // fill-for-write).
-//
-// The most-recently-used way of the set is probed before the scan:
-// temporal locality makes it the common hit, and skipping the scan does
-// not change which way would have hit (tags are unique within a set) nor
-// any LRU decision (victim choice reads the same tick values either way).
 func (c *Cache) Access(line int64, markDirty bool) (hit bool, evicted int64, evictedDirty bool) {
-	key := line + 1
+	key := uint64(line+1) << 1
 	set := int(uint64(line) & uint64(c.sets-1))
-	base := set * c.ways
-	c.tick++
-	if m := &c.lines[base+int(c.mru[set])]; m.tag == key {
-		m.tick = c.tick
-		if markDirty {
-			m.dirty = true
-			c.noteDirty(set)
-		}
+	ways := c.lines[set*c.ways : (set+1)*c.ways]
+	var d uint64
+	if markDirty {
+		d = 1
+		c.dirty[set>>6] |= 1 << uint(set&63)
+	}
+	// The front way is the common hit, and it has nothing to move.
+	if v := ways[0]; v&^1 == key {
+		ways[0] = v | d
 		return true, -1, false
 	}
-	victim, victimTick := base, c.lines[base].tick
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		ln := &c.lines[i]
-		if ln.tag == key {
-			ln.tick = c.tick
-			if markDirty {
-				ln.dirty = true
-				c.noteDirty(set)
-			}
-			c.mru[set] = int32(w)
+	for w := 1; w < len(ways); w++ {
+		if v := ways[w]; v&^1 == key {
+			copy(ways[1:w+1], ways[:w])
+			ways[0] = v | d
 			return true, -1, false
 		}
-		if ln.tick < victimTick {
-			victim, victimTick = i, ln.tick
-		}
 	}
-	v := &c.lines[victim]
-	evicted = v.tag - 1
-	evictedDirty = evicted >= 0 && v.dirty
-	v.tag = key
-	v.dirty = markDirty
-	v.tick = c.tick
-	if markDirty {
-		c.noteDirty(set)
-	}
-	c.mru[set] = int32(victim - base)
-	return false, evicted, evictedDirty
-}
-
-// Contains reports whether line is present (no LRU update).
-func (c *Cache) Contains(line int64) bool {
-	key := line + 1
-	set := int(uint64(line) & uint64(c.sets-1))
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.lines[base+w].tag == key {
-			return true
-		}
-	}
-	return false
+	v := ways[len(ways)-1]
+	copy(ways[1:], ways[:len(ways)-1])
+	ways[0] = key | d
+	return false, int64(v>>1) - 1, v&1 != 0
 }
 
 // FlushDirty marks every dirty line clean and returns how many lines were
 // dirty. Used when establishing a checkpoint (all dirty data is written
-// back to memory, paper §II-A). Only the flagged dirty sets are scanned,
-// so the cost is proportional to the interval's write working set, not
-// the cache size.
+// back to memory, paper §II-A). Only the flagged dirty sets are scanned.
 func (c *Cache) FlushDirty() int {
 	n := 0
-	for _, set := range c.dirtySets {
-		base := int(set) * c.ways
-		for w := 0; w < c.ways; w++ {
-			ln := &c.lines[base+w]
-			if ln.dirty && ln.tag > 0 {
-				n++
-				ln.dirty = false
-			}
+	c.eachDirtySet(func(ways []uint64) {
+		for w, v := range ways {
+			n += int(v & 1)
+			ways[w] = v &^ 1
 		}
-	}
-	c.clearDirtySets()
+	})
+	clear(c.dirty)
 	return n
 }
 
 // DirtyLines returns the number of dirty lines without cleaning them.
 func (c *Cache) DirtyLines() int {
 	n := 0
-	for _, set := range c.dirtySets {
-		base := int(set) * c.ways
-		for w := 0; w < c.ways; w++ {
-			if c.lines[base+w].dirty && c.lines[base+w].tag > 0 {
-				n++
-			}
+	c.eachDirtySet(func(ways []uint64) {
+		for _, v := range ways {
+			n += int(v & 1)
+		}
+	})
+	return n
+}
+
+// eachDirtySet calls fn with the ways of every set flagged in dirty.
+func (c *Cache) eachDirtySet(fn func(ways []uint64)) {
+	for i, mask := range c.dirty {
+		for mask != 0 {
+			set := i<<6 + bits.TrailingZeros64(mask)
+			mask &= mask - 1
+			fn(c.lines[set*c.ways : (set+1)*c.ways])
 		}
 	}
-	return n
 }
 
 // Reset invalidates the whole cache.
 func (c *Cache) Reset() {
 	clear(c.lines)
-	clear(c.mru)
-	c.tick = 0
-	c.clearDirtySets()
+	clear(c.dirty)
 }

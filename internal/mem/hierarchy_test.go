@@ -109,7 +109,7 @@ func TestCacheResetInvalidates(t *testing.T) {
 	c := NewCache(CacheConfig{SizeBytes: 1024, Ways: 2, LineBytes: 64})
 	c.Access(5, true)
 	c.Reset()
-	if c.Contains(5) || c.DirtyLines() != 0 {
+	if contains(c, 5) || c.DirtyLines() != 0 {
 		t.Error("Reset left state behind")
 	}
 }

@@ -31,9 +31,9 @@ func TestCacheLRUEviction(t *testing.T) {
 	c.Access(8, false)
 	c.Access(0, false)  // 0 now MRU; 8 is LRU
 	c.Access(16, false) // evicts 8
-	if !c.Contains(0) || !c.Contains(16) || c.Contains(8) {
+	if !contains(c, 0) || !contains(c, 16) || contains(c, 8) {
 		t.Errorf("LRU eviction wrong: contains(0)=%v contains(8)=%v contains(16)=%v",
-			c.Contains(0), c.Contains(8), c.Contains(16))
+			contains(c, 0), contains(c, 8), contains(c, 16))
 	}
 }
 

@@ -83,8 +83,10 @@ func (f *flatSystem) newInterval(group CoreSet, allCores bool) {
 		}
 	}
 	for c := range f.comm {
-		if allCores || group.Has(c) {
-			clear(f.comm[c])
+		for w := range f.comm[c] {
+			if allCores || group.Has(c) || group.Has(w) {
+				f.comm[c][w] = false
+			}
 		}
 	}
 	f.curInterval++
@@ -173,16 +175,14 @@ func (in *fuzzInput) val() int64 {
 	return int64(int8(in.next())) << (in.next() % 48)
 }
 
-// group picks a union of the reference's communication components: the
-// only groups a local interval is begun for (ckpt establishes one per
-// CommGroups component).
-func (in *fuzzInput) group(nCores int, components [][]int) CoreSet {
+// group picks an arbitrary set of cores. ckpt begins local intervals only
+// for whole CommGroups components, but NewInterval keeps the graph
+// symmetric for any group.
+func (in *fuzzInput) group(nCores int) CoreSet {
 	g := NewCoreSet(nCores)
-	for _, comp := range components {
+	for c := 0; c < nCores; c++ {
 		if in.next()%2 == 1 {
-			for _, c := range comp {
-				g.Add(c)
-			}
+			g.Add(c)
 		}
 	}
 	return g
@@ -206,7 +206,8 @@ func addrPanic(fn func()) (err *AddressError) {
 // FuzzPagedSystem drives random access sequences through the paged System
 // and the flat reference and requires every observable to agree: loaded
 // values, first-store flags and latencies, the dirty-word scan, snapshots
-// and their clones, Stats, CommSets and CommGroups.
+// and their clones, Stats, CommSets and CommGroups, which must partition
+// the cores.
 func FuzzPagedSystem(f *testing.F) {
 	f.Add([]byte{0x34, 0x12, 3, 3, 1, 2, 0, 5, 0, 0, 1, 7, 6, 4, 1, 8, 5, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -263,7 +264,7 @@ func FuzzPagedSystem(f *testing.F) {
 					s.NewInterval(s.AllCores(), true)
 					ref.newInterval(nil, true)
 				} else {
-					g := in.group(nCores, ref.groups())
+					g := in.group(nCores)
 					s.NewInterval(g, false)
 					ref.newInterval(g, false)
 				}
@@ -316,10 +317,20 @@ func FuzzPagedSystem(f *testing.F) {
 			}
 		}
 		var got [][]int
+		seen := NewCoreSet(nCores)
 		for _, g := range s.CommGroups() {
 			var members []int
-			g.ForEach(func(c int) { members = append(members, c) })
+			g.ForEach(func(c int) {
+				if seen.Has(c) {
+					t.Fatalf("core %d in two CommGroups: %v", c, got)
+				}
+				seen.Add(c)
+				members = append(members, c)
+			})
 			got = append(got, members)
+		}
+		if seen.Count() != nCores {
+			t.Fatalf("CommGroups %v do not cover %d cores", got, nCores)
 		}
 		if want := ref.groups(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("CommGroups = %v, want %v", got, want)

@@ -400,11 +400,11 @@ func (s *System) CommGroups() []CoreSet {
 }
 
 // NewInterval begins a new checkpoint interval for the given cores: their
-// log bits and communication rows are cleared. Under global checkpointing
-// the group covers all cores and all log bits clear; under local
-// checkpointing only words last written by group members are cleared (the
-// group checkpoints its own data). A local group is a union of CommGroups
-// components, so the communication graph stays symmetric.
+// log bits and their edges in the communication graph (rows and columns)
+// are cleared. Under global checkpointing the group covers all cores and
+// all log bits clear; under local checkpointing only words last written by
+// group members are cleared (the group checkpoints its own data). The
+// graph stays symmetric for any group, so CommGroups stays a partition.
 func (s *System) NewInterval(group CoreSet, allCores bool) {
 	if allCores {
 		for _, pi := range s.touched {
@@ -435,8 +435,13 @@ func (s *System) NewInterval(group CoreSet, allCores bool) {
 		}
 	}
 	for c := 0; c < s.nCores; c++ {
+		row := s.comm[c*s.commW : (c+1)*s.commW]
 		if group.Has(c) {
-			clear(s.comm[c*s.commW : (c+1)*s.commW])
+			clear(row)
+			continue
+		}
+		for i, g := range group {
+			row[i] &^= g
 		}
 	}
 	s.curInterval++
