@@ -5,20 +5,11 @@
 //	acrbench [-exp all|quick|tableI|fig1|fig6|fig7|fig8|fig9|tableII|fig10|fig11|fig12|fig13|scal|strategies]
 //	         [-threads N] [-class S|W|A] [-j N]
 //	         [-strategy-benches is,cg,mg] [-strategy-cores 4,8]
-//	         [-strategy-errors 1] [-strategy-json matrix.json]
-//	         [-serve ADDR] [-journal runs.jsonl] [-linger DUR]
+//	         [-strategy-errors 1] [-strategy-json matrix.json] [-csv] [-v]
 //
 // -j sizes the driver's job pool (distinct machines in flight); results are
-// bit-identical at every pool size.
-//
-// -serve starts the HTTP observatory (internal/obsrv) on ADDR before the
-// sweep: every job registers in the live run registry, /metrics exposes the
-// aggregated telemetry, /runs/{key}/events streams each run's flight
-// recorder, and /debug/pprof serves the host profiles. -journal appends
-// the run registry's JSONL journal to a file (loading any existing entries
-// first); -linger keeps the observatory serving for the given duration
-// after the sweep so scrapers and CI smoke checks can inspect a finished
-// process.
+// bit-identical at every pool size. -v prints each job's queue wait and
+// host wall time after the tables.
 //
 // -exp quick is fig6 alone — a small, checkpoint-heavy slice for smoke
 // tests; like the ablations it is not part of 'all'.
@@ -44,7 +35,6 @@ import (
 	"time"
 
 	"acr/internal/bench"
-	"acr/internal/obsrv"
 	"acr/internal/stats"
 	"acr/internal/workloads"
 )
@@ -60,9 +50,6 @@ func main() {
 	stratCores := flag.String("strategy-cores", "4,8", "core counts for -exp strategies (comma separated)")
 	stratErrors := flag.Int("strategy-errors", 1, "injected errors in the _E cells of -exp strategies")
 	stratJSON := flag.String("strategy-json", "", "write the strategy matrix as JSON to this file")
-	serveAddr := flag.String("serve", "", "serve the HTTP observatory (/metrics, /runs, /debug/pprof) on this address (e.g. localhost:6060, :0)")
-	journalPath := flag.String("journal", "", "append the run registry's JSONL journal to this file (requires -serve)")
-	linger := flag.Duration("linger", 0, "keep the observatory serving this long after the sweep finishes")
 	flag.Parse()
 
 	cl, err := workloads.ClassByName(*class)
@@ -73,38 +60,6 @@ func main() {
 	r := bench.NewRunner()
 	r.Workers = *jobs
 
-	var registry *obsrv.Registry
-	if *serveAddr != "" {
-		registry, err = obsrv.NewRegistry(obsrv.Options{JournalPath: *journalPath})
-		if err != nil {
-			fatal(err)
-		}
-		defer registry.Close()
-		if *journalPath != "" {
-			// Fold any previous process's journal in first, so /runs
-			// shows the sweep's history across restarts.
-			if err := registry.LoadJournal(*journalPath); err != nil {
-				fatal(err)
-			}
-		}
-		server := obsrv.NewServer(registry)
-		addr, err := server.Start(*serveAddr)
-		if err != nil {
-			fatal(err) // fail fast: a bad -serve address kills the run before any simulation
-		}
-		defer server.Close()
-		fmt.Fprintf(os.Stderr, "acrbench: observatory listening on http://%s\n", addr)
-		r.Lifecycle = registry
-		defer func() {
-			if p := recover(); p != nil {
-				fmt.Fprintln(os.Stderr, "acrbench: panic — dumping flight recorders:")
-				registry.DumpFlight(func(format string, args ...any) {
-					fmt.Fprintf(os.Stderr, format, args...)
-				})
-				panic(p)
-			}
-		}()
-	}
 	start := time.Now()
 
 	type gen func() (*stats.Table, error)
@@ -184,10 +139,6 @@ func main() {
 
 	if *verbose {
 		reportJobs(r.Reports(), elapsed)
-	}
-	if registry != nil && *linger > 0 {
-		fmt.Fprintf(os.Stderr, "acrbench: sweep done, observatory lingering for %v\n", *linger)
-		time.Sleep(*linger)
 	}
 }
 

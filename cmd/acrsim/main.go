@@ -6,7 +6,6 @@
 //	acrsim -bench is [-config ReCkpt_E] [-strategy auto] [-threads 8]
 //	       [-class W] [-ckpts 25] [-errors 1] [-threshold 0]
 //	       [-v] [-trace out.json] [-metrics out.prom] [-profile out.json]
-//	       [-serve ADDR] [-journal runs.jsonl] [-linger DUR]
 //	acrsim -list-strategies
 //
 // The configuration names follow the paper (§IV): NoCkpt, Ckpt_NE, Ckpt_E,
@@ -21,12 +20,6 @@
 // exposition and -profile a self-describing JSON run profile. Telemetry
 // observes a deterministic replay of the configured run, so the reported
 // summary is bit-identical with or without these flags.
-//
-// -serve starts the HTTP observatory (internal/obsrv): the baseline and
-// configured runs register in the live run registry with flight recorders,
-// browsable at /runs and streamed at /runs/{key}/events; -journal appends
-// the registry's JSONL journal and -linger keeps the observatory up after
-// the run so it can be scraped.
 package main
 
 import (
@@ -36,11 +29,9 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"acr/internal/bench"
 	"acr/internal/ckpt"
-	"acr/internal/obsrv"
 	"acr/internal/sim"
 	"acr/internal/telemetry"
 	"acr/internal/workloads"
@@ -60,9 +51,6 @@ func main() {
 	traceOut := flag.String("trace", "", "write Chrome trace-event JSON (Perfetto) to this file")
 	metricsOut := flag.String("metrics", "", "write Prometheus text exposition to this file")
 	profileOut := flag.String("profile", "", "write JSON run profile to this file")
-	serveAddr := flag.String("serve", "", "serve the HTTP observatory (/metrics, /runs, /debug/pprof) on this address")
-	journalPath := flag.String("journal", "", "append the run registry's JSONL journal to this file (requires -serve)")
-	linger := flag.Duration("linger", 0, "keep the observatory serving this long after the run finishes")
 	flag.Parse()
 
 	if *listStrategies {
@@ -97,28 +85,6 @@ func main() {
 	p := bench.Params{Threads: *threads, Class: cl}
 	r := bench.NewRunner()
 
-	var registry *obsrv.Registry
-	var server *obsrv.Server
-	if *serveAddr != "" {
-		registry, err = obsrv.NewRegistry(obsrv.Options{JournalPath: *journalPath})
-		if err != nil {
-			fatal(err)
-		}
-		defer registry.Close()
-		if *journalPath != "" {
-			if err := registry.LoadJournal(*journalPath); err != nil {
-				fatal(err)
-			}
-		}
-		server = obsrv.NewServer(registry)
-		addr, err := server.Start(*serveAddr)
-		if err != nil {
-			fatal(err)
-		}
-		defer server.Close()
-		fmt.Fprintf(os.Stderr, "acrsim: observatory listening on http://%s\n", addr)
-		r.Lifecycle = registry
-	}
 	// The NoCkpt baseline and the configured run go through the parallel
 	// driver; the memoising cache deduplicates the baseline the
 	// checkpointed run calibrates against.
@@ -188,10 +154,6 @@ func main() {
 			}
 			fmt.Printf("%8d  %13d  %6d  %7d  %10.2f\n", i+1, iv.Size(), iv.Logged, iv.Omitted, red)
 		}
-	}
-	if server != nil && *linger > 0 {
-		fmt.Fprintf(os.Stderr, "acrsim: run done, observatory lingering for %v\n", *linger)
-		time.Sleep(*linger)
 	}
 }
 

@@ -6,14 +6,14 @@ import (
 	"acr/internal/sim"
 )
 
-// Lifecycle observes driver-level job execution: the observability plane
-// (internal/obsrv) implements it to register every RunAll/RunObserved job
-// in the live run registry. Hooks are driver-side only — they see host-time
-// lifecycle transitions and may attach sim.Observers, but like every
-// observer they must not feed anything back into simulated results: a
-// runner with a Lifecycle attached returns bit-identical Results to one
-// without (the simulator's observation invariant, enforced by
-// TestLifecycleObservationInvariant and TestRunObservedMatchesRun).
+// Lifecycle observes RunAll's job execution; RunObserved does not fire it.
+// The benchmark harness under perfbench/ implements it to count the
+// machine executions each job's calibration performs. Hooks are
+// driver-side only — they see host-time lifecycle transitions and may
+// attach sim.Observers, but like every observer they must not feed
+// anything back into simulated results: a runner with a Lifecycle attached
+// returns bit-identical Results to one without (the simulator's
+// observation invariant, enforced by TestLifecycleObservationInvariant).
 //
 // A checkpointed job may execute its machine several times while
 // calibrating its period; the runner asks the job's JobObservation for
@@ -46,8 +46,8 @@ type JobObservation interface {
 // human-readable string: benchmark, scale, the paper configuration name,
 // then every remaining Spec knob spelled explicitly. Two jobs share a
 // KeyString exactly when they share a memo cache cell, so the string is
-// usable as a cross-process run-registry and result-store key (the
-// lifecycle key test proves every Spec field reaches it).
+// usable as a cross-process result key (TestKeyStringCoversEverySpecField
+// proves every Spec field reaches it).
 func (j Job) KeyString() string {
 	k := j.key()
 	s := k.spec

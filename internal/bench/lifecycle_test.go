@@ -133,39 +133,11 @@ func TestLifecycleObservationInvariant(t *testing.T) {
 	}
 }
 
-func TestLifecycleObservesRunObserved(t *testing.T) {
-	lc := &recordingLifecycle{}
-	r := NewRunner()
-	r.Lifecycle = lc
-	p := lcParams()
-
-	res, err := r.RunObserved("is", p, CkptNE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// RunObserved registers exactly one lifecycle job for the observed
-	// replay (its internal baseline/calibration runs are plain cache
-	// fills).
-	if len(lc.begins) != 1 {
-		t.Fatalf("JobBegin fired %d times, want 1", len(lc.begins))
-	}
-	tok := lc.tokens[0]
-	if !tok.ended || tok.err != nil {
-		t.Fatalf("token: ended=%v err=%v", tok.ended, tok.err)
-	}
-	if tok.events == 0 {
-		t.Fatal("observed replay produced no events")
-	}
-	if tok.res.Cycles != res.Cycles {
-		t.Fatalf("JobEnd result diverges: %d vs %d", tok.res.Cycles, res.Cycles)
-	}
-}
-
 // TestKeyStringCoversEverySpecField is the KeyString completeness proof:
 // perturbing any single Spec field of a checkpointed job must change the
-// key, so distinct memo cells can never collide in the run registry or its
-// journal. TestMemoKeyNonExemptFieldsDistinct proves every field reaches
-// runKey; this proves runKey's string form keeps the distinctions.
+// key, so distinct memo cells can never collide.
+// TestMemoKeyNonExemptFieldsDistinct proves every field reaches runKey;
+// this proves runKey's string form keeps the distinctions.
 func TestKeyStringCoversEverySpecField(t *testing.T) {
 	base := Job{Bench: "cg", Params: lcParams(), Spec: Spec{Ckpt: true}}
 	baseKey := base.KeyString()
@@ -205,10 +177,11 @@ func TestKeyStringCoversEverySpecField(t *testing.T) {
 		}
 	}
 
-	// Keys are URL-path-safe modulo slashes (the observatory's routing
-	// contract) and spell the paper configuration.
+	// Keys are single whitespace-free tokens (perfbench's expected.json
+	// and failure lines index jobs by them) and spell the paper
+	// configuration.
 	if strings.ContainsAny(baseKey, " \t\n?#") {
-		t.Errorf("key %q contains URL-hostile characters", baseKey)
+		t.Errorf("key %q contains whitespace or reserved characters", baseKey)
 	}
 	if want := fmt.Sprintf("cg/t2/S/%s/", base.Spec.String()); !strings.HasPrefix(baseKey, want) {
 		t.Errorf("key %q lacks prefix %q", baseKey, want)

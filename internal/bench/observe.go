@@ -17,25 +17,19 @@ import (
 // is bit-identical to the cached run — the observers see the single
 // converged execution, and the returned Result equals Run's.
 //
-// A runner with a Lifecycle attached additionally registers the observed
-// job: the lifecycle's observers join the replay (seeing exactly the
-// converged execution) and JobEnd receives the replayed Result.
-func (r *Runner) RunObserved(benchName string, p Params, spec Spec, obs ...sim.Observer) (res sim.Result, err error) {
+// The runner's Lifecycle is not fired: it is a RunAll hook.
+func (r *Runner) RunObserved(benchName string, p Params, spec Spec, obs ...sim.Observer) (sim.Result, error) {
 	j := Job{Bench: benchName, Params: p, Spec: spec}
-	bench, berr := workloads.ByName(benchName)
-	if berr != nil {
-		return sim.Result{}, berr
-	}
-	if token := r.beginJob(j); token != nil {
-		obs = append(append([]sim.Observer(nil), token.Observers()...), obs...)
-		defer func() { token.JobEnd(res, err) }()
+	bench, err := workloads.ByName(benchName)
+	if err != nil {
+		return sim.Result{}, err
 	}
 	if !spec.Ckpt {
 		return r.execute(bench, j, 0, 0, obs...)
 	}
-	calibrated, cerr := r.Run(benchName, p, spec)
-	if cerr != nil {
-		return sim.Result{}, cerr
+	calibrated, err := r.Run(benchName, p, spec)
+	if err != nil {
+		return sim.Result{}, err
 	}
 	return r.execute(bench, j, calibrated.PeriodCycles, calibrated.ROIStartCycles, obs...)
 }

@@ -141,11 +141,11 @@ type Runner struct {
 	SimWorkers int
 
 	// Lifecycle, when non-nil, receives job begin/end notifications from
-	// RunAll and RunObserved and may attach observers to executions (the
-	// live run registry in internal/obsrv rides on it). Observation is
-	// strictly one-way — observers cannot change simulated results, so
-	// the hook stays outside the memo key and a cache warmed with a
-	// lifecycle attached serves runs without one, bit-identically.
+	// RunAll and may attach observers to executions (perfbench's
+	// execution counter rides on it). Observation is strictly one-way —
+	// observers cannot change simulated results, so the hook stays
+	// outside the memo key and a cache warmed with a lifecycle attached
+	// serves runs without one, bit-identically.
 	Lifecycle Lifecycle
 
 	mu      sync.Mutex

@@ -413,3 +413,33 @@ func TestDifferentialSealImageMatchesMemory(t *testing.T) {
 	r.store(0, 10, 12)
 	seal("seal 6 (recycled)", 6000)
 }
+
+// establishAllocs is what one global establish allocates today: the new
+// Snapshot, its copy of the architectural states and the one-group Groups
+// slice of the returned EstablishInfo. The ceiling keeps the count from
+// growing; recycling the retired snapshot and a manager-owned group
+// buffer would take it to 0.
+const establishAllocs = 3
+
+// TestEstablishAllocs measures one checkpoint establish on a warmed
+// amnesic manager whose ring is full, so every establish also retires the
+// oldest log and recycles its array. Each interval logs one store and
+// omits one associated store.
+func TestEstablishAllocs(t *testing.T) {
+	const nCores = 2
+	r := newRig(t, Global, true, nCores)
+	arch := make([]cpu.ArchState, nCores)
+	now := int64(0)
+	interval := func() {
+		now += 1000
+		r.store(0, 8, now)
+		r.assocStore(1, 16, now)
+		r.mgr.Establish(now, arch)
+	}
+	for range 100 {
+		interval()
+	}
+	if n := testing.AllocsPerRun(100, interval); n > establishAllocs {
+		t.Errorf("store+assoc+establish: %v allocs, want ≤ %d", n, establishAllocs)
+	}
+}

@@ -223,3 +223,39 @@ func TestPeakStatsTracked(t *testing.T) {
 		t.Errorf("peak input words = %d", st.PeakInputWords)
 	}
 }
+
+// TestAddrMapAllocs pins Assoc, Lookup and Release allocation-free on a
+// warmed map. Each cycle supersedes a pinned record — the path that
+// retains it, then frees it and recycles its Slice on Release — and
+// compiles nothing: the Slice comes back from the recycle pool.
+func TestAddrMapAllocs(t *testing.T) {
+	const capacity = 64
+	m := NewAddrMap(capacity)
+	for a := range int64(capacity / 2) {
+		m.Assoc(0, a, mkSlice(a, 1))
+	}
+	// One spare shell for the first supersede; each cycle returns one.
+	m.recycleSlice(mkSlice(0, 1))
+	addr := int64(0)
+	scratch := make([]int64, 8)
+	cycle := func() {
+		addr = (addr + 1) % (capacity / 2)
+		rec := m.Lookup(addr, addr+1, scratch)
+		if rec == nil {
+			t.Fatal("lookup missed a live association")
+		}
+		rec.Pin()
+		sl := m.takeRecycled()
+		sl.Inputs[0] = addr
+		if !m.Assoc(1, addr, sl) {
+			t.Fatal("supersede rejected")
+		}
+		m.Release(rec)
+	}
+	for range 1000 {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Errorf("Lookup+Assoc+Release: %v allocs, want 0", n)
+	}
+}

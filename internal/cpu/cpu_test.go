@@ -274,3 +274,51 @@ func TestBranchRedirects(t *testing.T) {
 		t.Errorf("taken branch did not skip: r2 = %d", c.Regs[2])
 	}
 }
+
+// nopHooks is a checkpoint hook that charges nothing and records nothing.
+type nopHooks struct{}
+
+func (nopHooks) FirstStore(core int, addr, old int64) int64             { return 0 }
+func (nopHooks) Assoc(core, pc int, addr int64, recipe slice.Ref) int64 { return 0 }
+
+// TestStepAllocs pins Step allocation-free on a warmed core: ALU ops,
+// loads, first and repeat stores, ASSOC-ADDR and branches, with the
+// recipe tracker and checkpoint hooks attached.
+func TestStepAllocs(t *testing.T) {
+	b := prog.New("step-allocs")
+	base := b.Data(64)
+	b.Li(1, base)
+	top := b.NewLabel()
+	b.Place(top)
+	topPC := b.PC()
+	b.OpI(isa.ADDI, 2, 2, 1)
+	b.OpI(isa.ANDI, 2, 2, 63)
+	b.Op3(isa.ADD, 5, 1, 2)
+	b.Ld(3, 5, 0)
+	b.Op3(isa.XOR, 6, 3, 2)
+	b.StAssoc(6, 5, 0)
+	b.Jmp(top)
+	p := b.MustBuild()
+
+	meter := energy.NewMeter(nil)
+	sys := mem.MustNewSystem(mem.DefaultConfig(), 1, p.DataWords, meter)
+	tr := slice.NewTracker(1)
+	c := New(0, p.Entry, 1)
+	c.AssocEnabled = true
+	var hooks nopHooks
+	// Warm up past the tracker's first arena compactions and every page
+	// of the data region.
+	for range 100_000 {
+		c.Step(p, sys, tr, hooks)
+	}
+	// AllocsPerRun truncates its average, so each run retires a whole
+	// loop iteration: an allocation on any one instruction kind reads ≥ 1.
+	iteration := func() {
+		for range len(p.Code) - topPC {
+			c.Step(p, sys, tr, hooks)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, iteration); n != 0 {
+		t.Errorf("Step: %v allocs per loop iteration, want 0", n)
+	}
+}

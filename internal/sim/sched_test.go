@@ -108,3 +108,54 @@ func TestSchedulerAggregatesUnit(t *testing.T) {
 	advance(cores[0], 100)
 	check("advance after rescan re-seed")
 }
+
+// TestSchedulerAllocs pins pick and coalesce allocation-free on a warmed
+// 70-core queue (two core groups), the way the run loop drives them: each
+// pick advances its core past the bound, and coalesce eagerly advances the
+// binding peers toward a ceiling.
+func TestSchedulerAllocs(t *testing.T) {
+	cores := make([]*cpu.Core, 70)
+	for i := range cores {
+		cores[i] = cpu.New(i, 0, len(cores))
+	}
+	s := newScheduler(cores)
+	step := int64(0)
+	pickOne := func() {
+		c, bound := s.pick()
+		step++
+		to := c.Cycles() + 1 + step%7
+		if bound != unbounded && bound > to {
+			to = bound
+		}
+		c.SetCycles(to)
+		s.noteClock(to)
+	}
+	eagerCalls := 0
+	eager := func(p *cpu.Core, ceil int64) bool {
+		eagerCalls++
+		if p.Cycles() >= ceil {
+			return false
+		}
+		p.SetCycles(p.Cycles() + 3)
+		return true
+	}
+	coalesceOne := func() {
+		c, bound := s.pick()
+		bound = s.coalesce(c, bound, bound+10, eager)
+		c.SetCycles(max(c.Cycles()+1, min(bound, c.Cycles()+20)))
+		s.noteClock(c.Cycles())
+	}
+	for range 10_000 {
+		pickOne()
+		coalesceOne()
+	}
+	if eagerCalls == 0 {
+		t.Fatal("coalesce never consulted its eager callback")
+	}
+	if n := testing.AllocsPerRun(1000, pickOne); n != 0 {
+		t.Errorf("pick: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, coalesceOne); n != 0 {
+		t.Errorf("pick+coalesce: %v allocs, want 0", n)
+	}
+}

@@ -403,3 +403,31 @@ func TestCompiledOpsSplitByUnit(t *testing.T) {
 		t.Errorf("FloatOps=%d IntOps=%d, want 1,1", c.FloatOps(), c.IntOps())
 	}
 }
+
+// TestCompileIntoAllocs pins CompileInto allocation-free once its shell
+// and the tracker's visited table are warm: the compile path the AddrMap
+// drives with recycled shells.
+func TestCompileIntoAllocs(t *testing.T) {
+	s := newRegSim()
+	s.load(1, 7)
+	s.load(2, 3)
+	s.exec(isa.Instr{Op: isa.ADD, Rd: 3, Rs: 1, Rt: 2})
+	s.exec(isa.Instr{Op: isa.MULI, Rd: 4, Rs: 3, Imm: 5})
+	s.exec(isa.Instr{Op: isa.SUB, Rd: 5, Rs: 4, Rt: 3})
+	s.exec(isa.Instr{Op: isa.FMA, Rd: 5, Rs: 1, Rt: 4})
+	ref := s.t.Recipe(0, 5)
+	into := &Compiled{}
+	if _, err := s.t.CompileInto(0, into, ref, 10); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := s.t.CompileInto(0, into, ref, 10); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("CompileInto: %v allocs, want 0", n)
+	}
+	if got := into.Eval(nil); got != s.regs[5] {
+		t.Fatalf("compiled Slice evaluates to %d, register holds %d", got, s.regs[5])
+	}
+}

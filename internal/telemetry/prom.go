@@ -158,8 +158,7 @@ type Sample struct {
 // ParseSamples parses a Prometheus text exposition into its sample lines,
 // unescaping label values. Comments and blank lines are skipped; the first
 // malformed line is an error. Together with WritePrometheus it forms the
-// round-trip pair the exposition tests (and the observatory's scrape tests)
-// assert equality over.
+// round-trip pair the exposition tests assert equality over.
 func ParseSamples(r io.Reader) ([]Sample, error) {
 	var out []Sample
 	sc := bufio.NewScanner(r)

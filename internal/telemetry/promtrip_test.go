@@ -56,21 +56,6 @@ func TestPrometheusSampleRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPrometheusRoundTripViaImport closes the loop the observatory relies
-// on: a registry's snapshot imported into a fresh registry exports
-// byte-identically.
-func TestPrometheusRoundTripViaImport(t *testing.T) {
-	reg := buildRegistry()
-	want := export(t, reg)
-	re := NewRegistry()
-	if err := re.ImportSnapshot(reg.Snapshot(), "", ""); err != nil {
-		t.Fatalf("ImportSnapshot: %v", err)
-	}
-	if got := export(t, re); got != want {
-		t.Fatalf("import round-trip not byte-identical:\n--- want ---\n%s--- got ---\n%s", want, got)
-	}
-}
-
 func TestParseSamplesRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{
 		"no_value\n",

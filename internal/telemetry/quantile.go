@@ -47,12 +47,3 @@ func HistQuantile(bounds []float64, counts []uint64, q float64) (float64, bool) 
 	// Unreachable: cum == total ≥ rank by the loop's end.
 	return bounds[len(bounds)-1], true
 }
-
-// Quantile estimates the q-quantile of a histogram series (see
-// HistQuantile). It panics on non-histogram series, mirroring Observe.
-func (s *Series) Quantile(q float64) (float64, bool) {
-	if s.bucketCounts == nil {
-		panic("telemetry: Quantile on non-histogram " + s.family.Name)
-	}
-	return HistQuantile(s.family.buckets, s.bucketCounts, q)
-}

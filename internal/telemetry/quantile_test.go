@@ -59,37 +59,3 @@ func TestHistQuantileClampsQ(t *testing.T) {
 		t.Errorf("q>1 should clamp to 1: got %g, want %g", hi, want1)
 	}
 }
-
-func TestSeriesQuantile(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("q_test", "", []float64{1, 2, 4})
-
-	// Empty series: ok=false.
-	if _, ok := h.With().Quantile(0.5); ok {
-		t.Fatal("empty series: want ok=false")
-	}
-
-	for _, v := range []float64{0.5, 1.5, 1.5, 3} {
-		h.Observe(v)
-	}
-	got, ok := h.With().Quantile(0.5)
-	if !ok {
-		t.Fatal("populated series: want ok=true")
-	}
-	// rank 2 of 4 lands at the end of bucket (1,2] count 2 → 1+1*(2-1)/2 = 1.5.
-	if math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("p50: got %g, want 1.5", got)
-	}
-}
-
-func TestSeriesQuantilePanicsOnCounter(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("q_counter", "")
-	c.Add(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Quantile on a counter series should panic, mirroring Observe")
-		}
-	}()
-	c.With().Quantile(0.5)
-}
