@@ -78,7 +78,7 @@ func main() {
 	}
 	spec.NumCkpts = *ckpts
 	spec.Threshold = *threshold
-	if *errs > 0 {
+	if *errs != 0 {
 		spec.Errors = *errs
 	}
 

@@ -89,6 +89,29 @@ func TestRunAllReportsFirstFailingJob(t *testing.T) {
 	}
 }
 
+// TestRunAllRejectsNegativeCounts: a negative checkpoint budget used to
+// divide by zero (-1) or fail with an unrelated checkpoint error, and a
+// negative error count or threshold ran silently; each must be an error
+// naming the field, returned from the worker pool rather than a panic.
+func TestRunAllRejectsNegativeCounts(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		spec  Spec
+	}{
+		{"NumCkpts", Spec{Ckpt: true, NumCkpts: -1}},
+		{"NumCkpts", Spec{Ckpt: true, NumCkpts: -5}},
+		{"Errors", Spec{Ckpt: true, Errors: -1}},
+		{"Threshold", Spec{Ckpt: true, Strategy: ReCkptNE.Strategy, Threshold: -3}},
+	} {
+		r := NewRunner()
+		r.Workers = 2
+		_, err := r.RunAll([]Job{{Bench: "is", Params: tinyParams(), Spec: c.spec}})
+		if err == nil || !strings.Contains(err.Error(), "Spec."+c.field) {
+			t.Errorf("%+v: got error %v, want one naming Spec.%s", c.spec, err, c.field)
+		}
+	}
+}
+
 // TestRunnerConcurrentSameKey: concurrent requests for one key must share a
 // single execution (the once gate), not race or duplicate work.
 func TestRunnerConcurrentSameKey(t *testing.T) {

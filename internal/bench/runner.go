@@ -203,6 +203,14 @@ func (r *Runner) Baseline(benchName string, p Params) (sim.Result, error) {
 }
 
 func (r *Runner) run(j Job, tok JobObservation) (sim.Result, error) {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"NumCkpts", j.Spec.NumCkpts}, {"Errors", j.Spec.Errors}, {"Threshold", j.Spec.Threshold}} {
+		if f.v < 0 {
+			return sim.Result{}, fmt.Errorf("bench: Spec.%s is %d, want ≥ 0", f.name, f.v)
+		}
+	}
 	bench, err := workloads.ByName(j.Bench)
 	if err != nil {
 		return sim.Result{}, err

@@ -316,8 +316,6 @@ func (m *Manager) OnFirstStore(coreID int, addr, old int64) int64 {
 // groupLogWords sums the interval's logged words over the group's members.
 // The plain indexed loop (rather than CoreSet.ForEach with a closure) keeps
 // the per-checkpoint path allocation-free.
-//
-//acr:noalloc
 func (m *Manager) groupLogWords(set mem.CoreSet) int {
 	t := int64(0)
 	for c, w := range m.logWordsByCore {
@@ -329,8 +327,6 @@ func (m *Manager) groupLogWords(set mem.CoreSet) int {
 }
 
 // asGroup assembles one coordination group's traffic summary.
-//
-//acr:noalloc
 func (m *Manager) asGroup(set mem.CoreSet, cores, archWordsPer int, fastLogs bool) GroupInfo {
 	g := GroupInfo{
 		Members: set, Cores: cores,

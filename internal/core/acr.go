@@ -132,23 +132,17 @@ func NewAddrMap(capacity int) *AddrMap {
 // home returns addr's preferred probe position (Fibonacci hashing: the
 // multiplier is the odd fractional part of the golden ratio, scrambling
 // sequential addresses across the table).
-//
-//acr:noalloc
 func (m *AddrMap) home(addr int64) uint64 {
 	return (uint64(addr) * 0x9E3779B97F4A7C15) >> m.shift
 }
 
 // rec returns the pooled record at slot.
-//
-//acr:noalloc
 func (m *AddrMap) rec(slot int32) *Record {
 	return &m.blocks[slot>>m.blockBits][slot&int32(1<<m.blockBits-1)]
 }
 
 // allocRecord takes a slot from the freelist or bump-allocates one,
 // extending the slab pool by one block when exhausted.
-//
-//acr:noalloc
 func (m *AddrMap) allocRecord() *Record {
 	if n := len(m.freelist); n > 0 {
 		slot := m.freelist[n-1]
@@ -158,7 +152,7 @@ func (m *AddrMap) allocRecord() *Record {
 		return r
 	}
 	if int(m.bump)>>m.blockBits == len(m.blocks) {
-		m.blocks = append(m.blocks, make([]Record, 1<<m.blockBits)) //acr:alloc-ok slab growth, amortized over 2^blockBits records
+		m.blocks = append(m.blocks, make([]Record, 1<<m.blockBits)) // slab growth, amortized over 2^blockBits records
 	}
 	slot := m.bump
 	m.bump++
@@ -168,32 +162,26 @@ func (m *AddrMap) allocRecord() *Record {
 }
 
 // freeRecord returns rec's slot to the freelist and recycles its Slice.
-//
-//acr:noalloc
 func (m *AddrMap) freeRecord(rec *Record) {
 	if rec.Slice != nil {
 		m.recycleSlice(rec.Slice)
 		rec.Slice = nil
 	}
-	m.freelist = append(m.freelist, rec.slot) //acr:alloc-ok bounded by the slab pool, steady state reuses capacity
+	m.freelist = append(m.freelist, rec.slot) // bounded by the slab pool, steady state reuses capacity
 }
 
 // recycleSlice offers a dead Compiled shell back to the compile path. The
 // pool is bounded by the map capacity — shells in flight can never exceed
 // the records that hold them — so steady-state compilation stays inside
 // the pool; overflow is left to the garbage collector.
-//
-//acr:noalloc
 func (m *AddrMap) recycleSlice(sl *slice.Compiled) {
 	if len(m.slicePool) < m.capacity {
-		m.slicePool = append(m.slicePool, sl) //acr:alloc-ok bounded by capacity, steady state reuses the pool's array
+		m.slicePool = append(m.slicePool, sl) // bounded by capacity, steady state reuses the pool's array
 	}
 }
 
 // takeRecycled pops a recycled Compiled shell, or nil when the pool is
 // empty (the compile path then allocates a fresh one).
-//
-//acr:noalloc
 func (m *AddrMap) takeRecycled() *slice.Compiled {
 	if n := len(m.slicePool); n > 0 {
 		sl := m.slicePool[n-1]
@@ -204,8 +192,6 @@ func (m *AddrMap) takeRecycled() *slice.Compiled {
 }
 
 // lookupMapped returns the record currently mapped at addr, or nil.
-//
-//acr:noalloc
 func (m *AddrMap) lookupMapped(addr int64) *Record {
 	mask := uint64(len(m.table) - 1)
 	for i := m.home(addr); ; i = (i + 1) & mask {
@@ -221,8 +207,6 @@ func (m *AddrMap) lookupMapped(addr int64) *Record {
 
 // tableInsert maps slot at addr's probe position. The caller guarantees
 // addr is not already present; the ≤ 50% load bound guarantees a free slot.
-//
-//acr:noalloc
 func (m *AddrMap) tableInsert(addr int64, slot int32) {
 	mask := uint64(len(m.table) - 1)
 	i := m.home(addr)
@@ -235,8 +219,6 @@ func (m *AddrMap) tableInsert(addr int64, slot int32) {
 // tableDelete unmaps addr using backward-shift deletion: subsequent probe
 // chain members whose home lies at or before the vacated slot move back, so
 // no tombstones accumulate and probe chains stay minimal.
-//
-//acr:noalloc
 func (m *AddrMap) tableDelete(addr int64) {
 	mask := uint64(len(m.table) - 1)
 	i := m.home(addr)
@@ -278,8 +260,6 @@ func (m *AddrMap) Stats() AddrMapStats { return m.stats }
 // Assoc inserts or replaces the record for addr. It reports whether the
 // association was accepted (the map may be full); a rejected Slice stays
 // owned by the caller.
-//
-//acr:noalloc
 func (m *AddrMap) Assoc(core int, addr int64, sl *slice.Compiled) bool {
 	old := m.lookupMapped(addr)
 	if old == nil && m.Occupancy() >= m.capacity {
@@ -329,8 +309,6 @@ func (m *AddrMap) growTable() {
 }
 
 // unmap removes rec from the address mapping, retaining it while pinned.
-//
-//acr:noalloc
 func (m *AddrMap) unmap(rec *Record) {
 	m.tableDelete(rec.Addr)
 	rec.mapped = false
@@ -350,8 +328,6 @@ func (m *AddrMap) unmap(rec *Record) {
 // Slice: a record is usable exactly when its recomputation reproduces the
 // value being omitted, which is the correctness criterion for amnesic
 // omission (§III-C: "whether the current value v ... is recomputable").
-//
-//acr:noalloc
 func (m *AddrMap) Lookup(addr, old int64, scratch []int64) *Record {
 	m.stats.Lookups++
 	rec := m.lookupMapped(addr)
@@ -371,8 +347,6 @@ func (m *AddrMap) Lookup(addr, old int64, scratch []int64) *Record {
 
 // Release drops one pin from rec (its referencing log was discarded) and
 // frees its capacity if the record is no longer mapped.
-//
-//acr:noalloc
 func (m *AddrMap) Release(rec *Record) {
 	if rec.pins <= 0 {
 		panic("core: Release of unpinned record")

@@ -173,8 +173,6 @@ func (c *Core) Restore(a *ArchState) {
 //
 // Energy events on the retire path accumulate in the core's shadow
 // counters; the caller must FlushAccounting before reading the meter.
-//
-//acr:noalloc
 func (c *Core) Step(p *prog.Program, m *mem.System, tr *slice.Tracker, hooks Hooks) {
 	if c.State != Running {
 		panic(fmt.Sprintf("cpu: Step on %v core %d", c.State, c.ID))
@@ -267,8 +265,6 @@ func (c *Core) Step(p *prog.Program, m *mem.System, tr *slice.Tracker, hooks Hoo
 // calls it once per executed quantum (and defensively before reading
 // results), turning one meter call per retired instruction into one per
 // quantum while keeping every count exactly equal.
-//
-//acr:noalloc
 func (c *Core) FlushAccounting(meter *energy.Meter) {
 	if c.accL1I != 0 {
 		meter.Add(energy.L1IAccess, c.accL1I)

@@ -258,8 +258,6 @@ func (s *System) checkAddr(addr int64) {
 // charging energy as it goes. Dirty victims migrate down the hierarchy:
 // an L1 eviction installs the dirty line into L2; an L2 eviction writes it
 // back to memory.
-//
-//acr:noalloc
 func (s *System) access(core int, line int64, store bool) int64 {
 	cc := &s.caches[core]
 	st := &s.stats.PerCore[core]
@@ -301,8 +299,6 @@ func (s *System) access(core int, line int64, store bool) int64 {
 // Load performs a data load by core, returning the value and access latency
 // in cycles. Communication with the line's last writer (within the current
 // interval) is recorded for local checkpointing.
-//
-//acr:noalloc
 func (s *System) Load(core int, addr int64) (val, cycles int64) {
 	s.checkAddr(addr)
 	line := addr >> s.lineShift
@@ -321,8 +317,6 @@ func (s *System) Load(core int, addr int64) (val, cycles int64) {
 // checkpoint interval (log bit was clear; the caller — the checkpoint
 // manager — logs or omits the old value and the bit is set here), and the
 // access latency.
-//
-//acr:noalloc
 func (s *System) Store(core int, addr, val int64) (old int64, first bool, cycles int64) {
 	s.checkAddr(addr)
 	line := addr >> s.lineShift
@@ -349,8 +343,6 @@ func (s *System) Store(core int, addr, val int64) (old int64, first bool, cycles
 
 // observeComm records a communication edge between core and the last
 // writer of the line tagged tag, if that write happened this interval.
-//
-//acr:noalloc
 func (s *System) observeComm(core int, tag *lineTag) {
 	lw := tag.writer
 	if lw != 0 && int(lw-1) != core && tag.ivl == s.curInterval {
@@ -555,8 +547,6 @@ func (s *System) DirtyLines(group CoreSet) int {
 // AllCores returns the set containing every core. The set is built once at
 // construction and shared across calls — callers must treat it as
 // read-only (Clone before mutating).
-//
-//acr:noalloc
 func (s *System) AllCores() CoreSet { return s.allCores }
 
 // NCores returns the simulated core count.

@@ -609,7 +609,6 @@ type SchedStats struct {
 	QuantumHist [16]int64
 }
 
-//acr:noalloc
 func (s *SchedStats) note(n int64) {
 	s.Spans++
 	s.SpanInstrs += n
@@ -640,8 +639,6 @@ func (s SchedStats) AvgQuantum() float64 {
 // core's execution: the machine state after the full run is bit-identical
 // to the strict smallest-clock-first order. Memory operations, barriers,
 // halts and enabled association markers end the prefix.
-//
-//acr:noalloc
 func (m *Machine) eagerSteps(p *cpu.Core, ceil int64) bool {
 	code := m.program.Code
 	advanced := false

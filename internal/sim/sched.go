@@ -113,7 +113,6 @@ func newScheduler(cores []*cpu.Core) *scheduler {
 	return s
 }
 
-//acr:noalloc
 func (s *scheduler) transition(c *cpu.Core, from, to cpu.State) {
 	s.counts[from]--
 	s.counts[to]++
@@ -150,8 +149,6 @@ func (s *scheduler) transition(c *cpu.Core, from, to cpu.State) {
 // units). The run loop calls it once per quantum, and the
 // coordinator/recovery paths after every synchronisation — every point
 // where a clock moves between liveMax consultations.
-//
-//acr:noalloc
 func (s *scheduler) noteClock(t int64) {
 	if t > s.clockHi {
 		s.clockHi = t
@@ -170,8 +167,6 @@ func (s *scheduler) invalidate() {
 // clocksMoved reports that clocks of cores other than the last-picked one
 // advanced without a state transition (checkpoint releases), so the pick
 // queue's cached clocks can no longer be trusted.
-//
-//acr:noalloc
 func (s *scheduler) clocksMoved() { s.pickStale = true }
 
 func (s *scheduler) running() int   { return s.counts[cpu.Running] }
@@ -210,8 +205,6 @@ func (s *scheduler) halted() int    { return s.counts[cpu.Halted] }
 // surgery); events that move other clocks or change the running set mark
 // the queue stale (transition, invalidate, clocksMoved) and it is rebuilt
 // here.
-//
-//acr:noalloc
 func (s *scheduler) pick() (*cpu.Core, int64) {
 	if s.pickStale {
 		s.rebuildBkts()
@@ -248,8 +241,6 @@ func (s *scheduler) pick() (*cpu.Core, int64) {
 // compact drops dead front entries once they accumulate so the backing
 // array never grows past its fixed capacity. Both pick and every coalesce
 // iteration call it, bounding bhd by 64 at every append point.
-//
-//acr:noalloc
 func (s *scheduler) compact() {
 	if s.bhd < 64 {
 		return
@@ -264,8 +255,6 @@ func (s *scheduler) compact() {
 // cyc when it can hold a lower id than best's (lower group, or best's
 // group with a bit below best's), cyc+1 otherwise, unbounded on an empty
 // queue. The later-buckets-dominated argument on pick applies verbatim.
-//
-//acr:noalloc
 func (s *scheduler) frontBound(best *cpu.Core) int64 {
 	if s.bhd == len(s.bkts) {
 		return unbounded
@@ -292,8 +281,6 @@ func (s *scheduler) frontBound(best *cpu.Core) int64 {
 // across a checkpoint boundary or error detection. The returned bound may
 // exceed ceil (the reinserted peer can jump past it); the caller clamps
 // against event times afterwards, exactly as for an ordinary pick bound.
-//
-//acr:noalloc
 func (s *scheduler) coalesce(best *cpu.Core, bound, ceil int64, eager func(*cpu.Core, int64) bool) int64 {
 	for bound < ceil {
 		if s.bhd == len(s.bkts) {
@@ -329,8 +316,6 @@ func (s *scheduler) coalesce(best *cpu.Core, bound, ceil int64, eager func(*cpu.
 // and any such overestimate is dominated by the exact bound contributed
 // when the displacement happens, so the minimum is identical to the
 // two-pass result.
-//
-//acr:noalloc
 func (s *scheduler) pickScan() (*cpu.Core, int64) {
 	var best *cpu.Core
 	bound := unbounded
@@ -356,8 +341,6 @@ func (s *scheduler) pickScan() (*cpu.Core, int64) {
 }
 
 // rebuildBkts re-seeds the calendar queue from the running population.
-//
-//acr:noalloc
 func (s *scheduler) rebuildBkts() {
 	s.bkts = s.bkts[:0]
 	s.bhd = 0
@@ -373,8 +356,6 @@ func (s *scheduler) rebuildBkts() {
 // insertBkt adds core id at clock cyc, keeping buckets sorted by
 // (cyc, grp) from bhd. Reinsertion clocks sit at or just past the front,
 // so the linear probe is short.
-//
-//acr:noalloc
 func (s *scheduler) insertBkt(cyc int64, id uint) {
 	grp := int32(id >> 6)
 	bit := id & 63
@@ -387,7 +368,7 @@ func (s *scheduler) insertBkt(cyc int64, id uint) {
 		b[i].mask |= 1 << bit
 		return
 	}
-	b = append(b, pickBkt{}) //acr:alloc-ok capacity fixed at construction; pick and coalesce compact before it can overflow
+	b = append(b, pickBkt{}) // capacity fixed at construction; pick and coalesce compact before it can overflow
 	copy(b[i+1:], b[i:len(b)-1])
 	b[i] = pickBkt{cyc: cyc, grp: grp, mask: 1 << bit}
 	s.bkts = b
@@ -396,8 +377,6 @@ func (s *scheduler) insertBkt(cyc int64, id uint) {
 // syncTime returns the latest clock among barrier-waiting cores plus their
 // population (the barrier release point), from the incremental aggregate
 // when it is exact and by rescan otherwise.
-//
-//acr:noalloc
 func (s *scheduler) syncTime() (t int64, n int) {
 	if !s.barrierStale {
 		t, n = s.barrierMax, s.counts[cpu.AtBarrier]
@@ -414,8 +393,6 @@ func (s *scheduler) syncTime() (t int64, n int) {
 }
 
 // syncTimeScan is the reference O(cores) computation of syncTime.
-//
-//acr:noalloc
 func (s *scheduler) syncTimeScan() (t int64, n int) {
 	for _, c := range s.cores {
 		if c.State == cpu.AtBarrier {
@@ -431,8 +408,6 @@ func (s *scheduler) syncTimeScan() (t int64, n int) {
 // liveMax returns the latest clock among non-halted cores (checkpoint
 // establishment and error-detection synchronisation points), from the
 // noteClock high-water mark when it is exact and by rescan otherwise.
-//
-//acr:noalloc
 func (s *scheduler) liveMax(floor int64) int64 {
 	if !s.liveStale {
 		t := floor
@@ -455,8 +430,6 @@ func (s *scheduler) liveMax(floor int64) int64 {
 }
 
 // liveMaxScan is the reference O(cores) computation of liveMax.
-//
-//acr:noalloc
 func (s *scheduler) liveMaxScan(floor int64) int64 {
 	t := floor
 	for _, c := range s.cores {

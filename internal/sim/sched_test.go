@@ -158,4 +158,16 @@ func TestSchedulerAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, coalesceOne); n != 0 {
 		t.Errorf("pick+coalesce: %v allocs, want 0", n)
 	}
+	// The first pair reads the aggregates, the second rescans after
+	// invalidate and re-seeds them.
+	syncBoth := func() {
+		s.syncTime()
+		s.liveMax(0)
+		s.invalidate()
+		s.syncTime()
+		s.liveMax(0)
+	}
+	if n := testing.AllocsPerRun(1000, syncBoth); n != 0 {
+		t.Errorf("syncTime+liveMax: %v allocs, want 0", n)
+	}
 }

@@ -134,8 +134,6 @@ type compileScratch struct {
 }
 
 // begin invalidates all entries for a new compilation.
-//
-//acr:noalloc
 func (s *compileScratch) begin() {
 	s.cur++
 	if s.cur == 0 { // epoch wrapped: hard-clear stale stamps once per 2^32
@@ -144,12 +142,10 @@ func (s *compileScratch) begin() {
 	}
 }
 
-//acr:noalloc
 func scratchHome(r Ref) uint32 {
 	return uint32((uint64(uint32(r)) * 0x9E3779B97F4A7C15) >> (64 - 13))
 }
 
-//acr:noalloc
 func (s *compileScratch) get(r Ref) (int32, bool) {
 	for i, n := scratchHome(r), 0; ; i, n = (i+1)&(scratchSlots-1), n+1 {
 		if s.epoch[i] != s.cur {
@@ -164,7 +160,6 @@ func (s *compileScratch) get(r Ref) (int32, bool) {
 	}
 }
 
-//acr:noalloc
 func (s *compileScratch) set(r Ref, v int32) {
 	for i, n := scratchHome(r), 0; ; i, n = (i+1)&(scratchSlots-1), n+1 {
 		if s.epoch[i] != s.cur || s.refs[i] == r {
@@ -207,8 +202,6 @@ func (t *Tracker) CompileVerified(core int, r Ref, maxOps int) (*Compiled, error
 // pool) performs no heap allocation. into == nil allocates a fresh shell.
 // Unlike the tracking methods, compiles share the Tracker-wide visited
 // table and must not run concurrently — see the Tracker doc.
-//
-//acr:noalloc
 func (t *Tracker) CompileInto(core int, into *Compiled, r Ref, maxOps int) (*Compiled, error) {
 	s := &t.shards[core]
 	if s.at(r).kind == kindOpaque {
@@ -216,7 +209,7 @@ func (t *Tracker) CompileInto(core int, into *Compiled, r Ref, maxOps int) (*Com
 	}
 	c := into
 	if c == nil {
-		c = &Compiled{} //acr:alloc-ok cold path: only when the caller supplies no recycled shell
+		c = &Compiled{} // cold path: only when the caller supplies no recycled shell
 	} else {
 		c.Inputs = c.Inputs[:0]
 		c.Ops = c.Ops[:0]
@@ -228,7 +221,7 @@ func (t *Tracker) CompileInto(core int, into *Compiled, r Ref, maxOps int) (*Com
 	// Fix up operand encodings: inputs keep their index; op results are
 	// encoded as ^opIndex and shift by the final input count.
 	n := int32(len(c.Inputs))
-	fix := func(v int32) int32 { //acr:alloc-ok non-escaping closure, stack-allocated and inlined
+	fix := func(v int32) int32 { // non-escaping closure, stack-allocated and inlined
 		switch {
 		case v == unusedEnc:
 			return -1
@@ -251,8 +244,6 @@ func (t *Tracker) CompileInto(core int, into *Compiled, r Ref, maxOps int) (*Com
 
 // emit appends r's subgraph to c in topological order. During the walk,
 // tab holds: input index (≥ 0) for leaves, ^opIndex (< 0) for ops.
-//
-//acr:noalloc
 func (s *shard) emit(tab *compileScratch, r Ref, c *Compiled, maxOps int) bool {
 	if _, done := tab.get(r); done {
 		return true
@@ -266,7 +257,7 @@ func (s *shard) emit(tab *compileScratch, r Ref, c *Compiled, maxOps int) bool {
 		if n.kind == kindInput {
 			val = n.val
 		}
-		c.Inputs = append(c.Inputs, val) //acr:alloc-ok recycled shell's backing array, amortized across compiles
+		c.Inputs = append(c.Inputs, val) // recycled shell's backing array, amortized across compiles
 		tab.set(r, int32(len(c.Inputs)-1))
 		return true
 	}
@@ -291,7 +282,7 @@ func (s *shard) emit(tab *compileScratch, r Ref, c *Compiled, maxOps int) bool {
 	if n.c != noRef {
 		op.C, _ = tab.get(n.c)
 	}
-	c.Ops = append(c.Ops, op) //acr:alloc-ok recycled shell's backing array, amortized across compiles
+	c.Ops = append(c.Ops, op) // recycled shell's backing array, amortized across compiles
 	tab.set(r, ^int32(len(c.Ops)-1))
 	return true
 }
